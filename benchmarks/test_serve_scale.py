@@ -10,6 +10,10 @@ for the CI serve-smoke job:
 * *O(ready) epoll* — with ~1000 watched keep-alive connections per
   worker, a poll probes only the fds with traffic: the measured
   probes-per-poll must stay far below the interest-list size;
+* *event-driven wakeups* — the scheduler re-evaluates a parked task's
+  horizon only when its channel fires or its cached instant comes due,
+  so horizon evaluations per driver decision stay at most 1 (a
+  per-decision scan over ~1000 parked clients would cost hundreds);
 * *supervised determinism* — a kill + graceful-reload run under the
   flight recorder replays bit-identically, control-plane history pinned
   in the footer.
@@ -55,6 +59,13 @@ def _epoll_cost(kernel, server) -> dict:
             "probes_per_poll": round(probes / max(polls, 1), 2)}
 
 
+def _sched_cost(sched) -> dict:
+    return {"decisions": sched.decisions,
+            "horizon_evals": sched.horizon_evals,
+            "evals_per_decision": round(
+                sched.horizon_evals / max(sched.decisions, 1), 3)}
+
+
 def _serve(workers: int) -> dict:
     kernel = Kernel(seed="bench-serve")
     server = LittledServer(kernel, workers=workers)
@@ -64,6 +75,7 @@ def _serve(workers: int) -> dict:
                         connect_retries=CONNECT_RETRIES)
     result = bench.run(REQUESTS, concurrency=CONCURRENCY)
     epoll = _epoll_cost(kernel, server)
+    sched = _sched_cost(kernel.sched)
     row = {
         "workers": workers,
         "completed": result.requests_completed,
@@ -73,6 +85,7 @@ def _serve(workers: int) -> dict:
         "alarms": len(server.alarms.alarms),
         "per_worker": [w.served_snapshot for w in server.workers],
         "epoll": epoll,
+        "sched": sched,
     }
     server.shutdown()
     return row
@@ -118,6 +131,8 @@ def test_serve_scale(table):
         assert epoll["max_interest"] > 100, epoll
         assert epoll["probes_per_poll"] < epoll["max_interest"] / 10, \
             f"epoll scan is not O(ready): {epoll}"
+        assert row["sched"]["evals_per_decision"] <= 1, \
+            f"scheduler wakeups are not event-driven: {row['sched']}"
 
     scaling = rows[1]["wall_rps"] / rows[0]["wall_rps"]
     determinism = _supervised_determinism()
@@ -136,9 +151,10 @@ def test_serve_scale(table):
 
     table(f"Keep-alive serving at C={CONCURRENCY} (virtual wall time)",
           ("workers", "wall ms", "wall rps", "probes/poll",
-           "max interest"),
+           "max interest", "evals/decision"),
           [(r["workers"], f"{r['wall_ms']:.1f}", f"{r['wall_rps']:,.0f}",
-            r["epoll"]["probes_per_poll"], r["epoll"]["max_interest"])
+            r["epoll"]["probes_per_poll"], r["epoll"]["max_interest"],
+            r["sched"]["evals_per_decision"])
            for r in rows])
 
     assert scaling >= 2.0, \

@@ -94,7 +94,7 @@ class Supervisor:
             return
         self._stop = True
         self.sched.cancel(self.task)
-        self.sched.run_until(lambda: self.task.done)
+        self.sched.run_until(tasks=[self.task])
         # one closing sample so snapshot()'s served_final reflects the
         # fleet's end state, not the last mid-load tick
         self._sample_metrics(self.kernel.clock.monotonic_ns)

@@ -756,7 +756,7 @@ class LittledServer:
         for task in live:
             self.sched.cancel(task)
         if live:
-            self.sched.run_until(lambda: all(t.done for t in live))
+            self.sched.run_until(tasks=live)
         self.sched.join()
         while self.kernel.tasks.wait(self.master_pid) is not None:
             pass

@@ -26,12 +26,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.divergence import CallRecord, DivergenceKind, DivergenceReport
 from repro.errors import MvxDivergence, MvxError
 
-#: Wall-clock safety net so a protocol bug fails a test instead of hanging.
+#: Host-time safety net so a protocol bug fails a test instead of hanging.
+#: A wait gives up only at the end of a slice this long in which its peer
+#: cannot make progress: the peer is waiting on the channel too and
+#: neither side's condition holds (a deadlock), or the peer's host thread
+#: is dead.  A peer that is merely slow (parked in the scheduler, running
+#: other tasks, traced) never trips it, so host speed cannot turn into a
+#: divergence verdict.
 _WAIT_TIMEOUT_S = 30.0
 
 LEADER = "leader"
@@ -128,14 +134,32 @@ class LockstepChannel:
             LEADER: VariantStatus(), FOLLOWER: VariantStatus()}
         self.rendezvous_count = 0
         self.divergence: Optional[DivergenceReport] = None
+        #: each side's host thread (the last one to wait on its behalf);
+        #: the monitor binds the follower's at start.
+        self.threads: Dict[str, threading.Thread] = {}
+        #: the condition each side is waiting for, None while it runs.  A
+        #: side that gave up keeps its entry: it will never signal again.
+        self._waiting: Dict[str, Optional[Callable[[], bool]]] = {
+            LEADER: None, FOLLOWER: None}
 
     # -- internals -------------------------------------------------------------
 
     def _wait_for(self, predicate, who: str) -> None:
-        deadline = _WAIT_TIMEOUT_S
-        if not self._cond.wait_for(predicate, timeout=deadline):
+        peer = FOLLOWER if who == LEADER else LEADER
+        self.threads[who] = threading.current_thread()
+        self._waiting[who] = predicate
+        while not self._cond.wait_for(predicate, timeout=_WAIT_TIMEOUT_S):
+            peer_waits_for = self._waiting[peer]
+            thread = self.threads.get(peer)
+            if peer_waits_for is not None and not peer_waits_for():
+                reason = "protocol stall"
+            elif thread is not None and not thread.is_alive():
+                reason = f"{peer} thread died"
+            else:
+                continue                # the peer can still make progress
             raise LockstepTimeout(
-                f"{who}: lockstep wait timed out (protocol stall)")
+                f"{who}: lockstep wait timed out ({reason})")
+        self._waiting[who] = None
 
     def _give_baton(self, to: str) -> None:
         self._baton = to

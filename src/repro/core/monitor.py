@@ -336,6 +336,7 @@ class SmvxMonitor:
             daemon=True)
         self.region = ActiveRegion(root_function, leader, variant, channel,
                                    relocator, py_thread)
+        channel.threads[FOLLOWER] = py_thread
         py_thread.start()
 
     def _follower_main(self, variant: FollowerVariant,
@@ -357,6 +358,13 @@ class SmvxMonitor:
             return
         except LockstepTimeout as timeout:
             channel.follower_finish(fault=f"lockstep timeout: {timeout}")
+            return
+        except BaseException as exc:          # noqa: BLE001 — reported
+            # any other crash is a follower fault too: the leader must
+            # never wait on a thread that is gone
+            channel.follower_finish(fault=f"{type(exc).__name__}: {exc}")
+            if not isinstance(exc, Exception):
+                raise                         # interrupts still propagate
             return
         channel.follower_finish()
 

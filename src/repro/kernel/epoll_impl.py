@@ -18,6 +18,10 @@ probes only the fds that actually have traffic.  Fairness is preserved:
 the scan rotates over the armed list exactly as it used to rotate over the
 interest list, advancing whenever a poll saturates ``max_events``.
 
+The instance is itself a channel: every ``arm`` fires its watchers, so
+a task parked in ``epoll_wait`` declares the instance and is re-checked
+by the scheduler only when one of its fds may have become ready.
+
 Probes may return the legacy 3-tuple ``(readable, writable, hup)`` or the
 richer 4-tuple with ``next_ready_at`` appended.  Only 4-tuple probes opt
 in to disarming: a 3-tuple probe carries no in-flight information, so its
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.kernel.errno_codes import Errno
+from repro.kernel.net import Channel
 
 EPOLLIN = 0x001
 EPOLLOUT = 0x004
@@ -49,10 +54,11 @@ class _Interest:
     data: int            # the epoll_data union, as a raw 64-bit value
 
 
-class EpollInstance:
+class EpollInstance(Channel):
     """One epoll file descriptor's interest list + armed (ready) list."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._interest: Dict[int, _Interest] = {}
         #: scan-start rotation over the armed list, advanced whenever a
         #: poll saturates ``max_events`` — Linux's ready-list round-robin
@@ -75,9 +81,11 @@ class EpollInstance:
     # -- armed list -----------------------------------------------------------
 
     def arm(self, fd: int) -> None:
-        """Put ``fd`` on the armed list (idempotent, keeps first position)."""
+        """Put ``fd`` on the armed list (idempotent, keeps first position)
+        and fire the instance's watchers: the fd may be ready sooner."""
         if fd in self._interest:
             self._armed[fd] = None
+            self._notify()
 
     def _disarm(self, fd: int) -> None:
         self._armed.pop(fd, None)

@@ -265,7 +265,8 @@ class Kernel:
             if description.next_ready_at() is None:
                 return False
             # re-check after every wake: a sibling may have consumed it
-            self.sched.park(horizon=description.next_ready_at)
+            self.sched.park(horizon=description.next_ready_at,
+                            watch=(description,))
 
     # -- filesystem ------------------------------------------------------------------
 
@@ -587,8 +588,9 @@ class Kernel:
             # Scheduled blocking: park until a watched fd becomes ready
             # (socket delivery, listener enqueue, FIN), re-polling after
             # every wake because a sibling worker may have raced us to
-            # the event.  The horizon closure reads *live* kernel state,
-            # so readiness produced after the park still wakes us.
+            # the event.  The horizon closure reads *live* kernel state
+            # and the instance is its channel: every re-arm has the
+            # scheduler re-evaluate it.
             deadline = None if timeout_ms < 0 else \
                 self.clock.monotonic_ns + timeout_ms * 1_000_000
 
@@ -602,7 +604,8 @@ class Kernel:
                         and self.clock.monotonic_ns >= deadline:
                     break
                 woke = self.sched.park(horizon=sched_horizon,
-                                       deadline_ns=deadline)
+                                       deadline_ns=deadline,
+                                       watch=(instance,))
                 ready = instance.poll(self.clock.monotonic_ns,
                                       self._epoll_probe(pcb), maxevents)
                 if not woke and not ready:

@@ -23,10 +23,35 @@ from repro.kernel.errno_codes import Errno
 DEFAULT_LATENCY_NS = 100_000
 
 
-class Socket:
-    """One end of a connected stream socket."""
+class Channel:
+    """An event source with readiness watchers: zero-arg callables fired
+    whenever a reader *may* have become ready.  Epoll instances use them
+    to re-arm fds, and the scheduler to re-check parked tasks; a watcher
+    never decides readiness itself, which is still probed against the
+    clock."""
+
+    def __init__(self) -> None:
+        self._watchers: List[Callable[[], None]] = []
+
+    def add_watcher(self, fn: Callable[[], None]) -> None:
+        if fn not in self._watchers:
+            self._watchers.append(fn)
+
+    def remove_watcher(self, fn: Callable[[], None]) -> None:
+        if fn in self._watchers:
+            self._watchers.remove(fn)
+
+    def _notify(self) -> None:
+        for fn in tuple(self._watchers):
+            fn()
+
+
+class Socket(Channel):
+    """One end of a connected stream socket; fires its watchers when a
+    segment or FIN is scheduled toward it."""
 
     def __init__(self, network: "Network", label: str):
+        super().__init__()
         self._network = network
         self.label = label
         #: connection number assigned by :meth:`Network.connect` (both
@@ -50,25 +75,8 @@ class Socket:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.options: Dict[Tuple[int, int], int] = {}
-        #: readiness watchers (epoll ready lists): zero-arg callables
-        #: fired whenever this end *may* have become readable — a segment
-        #: or FIN was scheduled toward it.  Watchers only arm a ready
-        #: list; actual readability is still probed against the clock.
-        self._watchers: List[Callable[[], None]] = []
 
     # -- plumbing -------------------------------------------------------------
-
-    def add_watcher(self, fn: Callable[[], None]) -> None:
-        if fn not in self._watchers:
-            self._watchers.append(fn)
-
-    def remove_watcher(self, fn: Callable[[], None]) -> None:
-        if fn in self._watchers:
-            self._watchers.remove(fn)
-
-    def _notify(self) -> None:
-        for fn in tuple(self._watchers):
-            fn()
 
     def _deliver(self, data: bytes, ready_at: float) -> None:
         self._inbox.append((ready_at, bytearray(data)))
@@ -198,30 +206,18 @@ class Socket:
         self.shutdown_write()
 
 
-class Listener:
-    """A listening socket bound to a port."""
+class Listener(Channel):
+    """A listening socket bound to a port; fires its watchers on every
+    enqueued connection."""
 
     def __init__(self, network: "Network", port: int, backlog: int = 128):
+        super().__init__()
         self._network = network
         self.port = port
         self.backlog = backlog
         self._pending: Deque[Tuple[float, Socket]] = deque()
         self.closed = False
         self.accepted_total = 0
-        #: readiness watchers — see :meth:`Socket.add_watcher`.
-        self._watchers: List[Callable[[], None]] = []
-
-    def add_watcher(self, fn: Callable[[], None]) -> None:
-        if fn not in self._watchers:
-            self._watchers.append(fn)
-
-    def remove_watcher(self, fn: Callable[[], None]) -> None:
-        if fn in self._watchers:
-            self._watchers.remove(fn)
-
-    def _notify(self) -> None:
-        for fn in tuple(self._watchers):
-            fn()
 
     def enqueue(self, server_end: Socket, ready_at: float) -> int:
         backlog = self.backlog

@@ -29,10 +29,16 @@ and is what lets N workers serve N requests in ~1 request's wall time.
 
 Blocking semantics (the tentpole contract):
 
-* ``epoll_wait`` parks the task; the driver re-evaluates each parked
-  task's readiness *horizon* (a closure over live kernel state — socket
-  delivery, listener enqueue, FIN) every iteration, so I/O readiness
-  wakes the sleeper with no explicit wake hooks to forget.
+* ``epoll_wait`` parks the task with a readiness *horizon* (a closure
+  over live kernel state) and declares the channel that horizon reads,
+  its epoll instance.  The driver re-evaluates the horizon only when a
+  declared channel fires (socket delivery, FIN, listener enqueue, epoll
+  re-arm) or when the clock reaches its cached instant.  The cached
+  value is a lower bound: every event that can make a horizon earlier
+  fires a channel, and consuming data only makes it later.  A park
+  without channels is polled: its horizon is re-evaluated every
+  iteration, so a closure over arbitrary state still wakes the sleeper
+  and a forgotten channel costs speed, never correctness.
 * ``recvfrom`` parks only while data is actually in flight; otherwise it
   stays non-blocking (EAGAIN), as before.
 * ``accept4`` never parks: blocking lives at the epoll level, so a worker
@@ -47,10 +53,12 @@ and ``run_until`` says so instead of hanging.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import threading
 from collections import deque
 from enum import Enum
-from typing import Callable, Deque, List, Optional
+from typing import (Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import KernelError
 from repro.machine.costs import CostModel, DEFAULT_COSTS
@@ -62,6 +70,10 @@ DEFAULT_QUANTUM_NS = 100_000
 #: hard bound on driver iterations per run_until call: a runaway
 #: park/wake loop should fail loudly, not hang the harness.
 MAX_DECISIONS_PER_RUN = 2_000_000
+
+#: slack before the wake-timer heap is compacted: it may hold this many
+#: stale entries beyond one per timed task.
+_HEAP_SLACK = 64
 
 
 class SchedulerError(KernelError):
@@ -131,6 +143,8 @@ class SchedTask:
                  pid: Optional[int]):
         self.sched = sched
         self.name = name
+        #: spawn index: wake candidates are examined in spawn order.
+        self.seq = len(sched.tasks)
         self.fn = fn
         self.core = core
         self.pid = pid
@@ -143,6 +157,17 @@ class SchedTask:
         self.wait_deadline: Optional[float] = None
         #: injected spurious wake instant (fault plane), or None.
         self.spurious_at: Optional[float] = None
+        #: channels the parked horizon reads (empty = polled).
+        self.watch: Tuple[object, ...] = ()
+        #: the channel watcher: marks this task for re-evaluation.
+        self.notify = lambda: sched._mark_dirty(self)
+        self.dirty = False
+        #: last evaluated horizon value: a lower bound of the live one.
+        self.horizon_at: Optional[float] = None
+        #: instant of this park's one live timer entry, or None.
+        self.timer_at: Optional[float] = None
+        #: park counter; timer entries of earlier parks are stale.
+        self.park_gen = 0
         #: park() return value set by the driver at wake time.
         self.wake_value = True
         #: core-local time at dispatch (quantum accounting).
@@ -224,6 +249,22 @@ class Scheduler:
         self._run_queues: List[Deque[SchedTask]] = \
             [deque() for _ in self.cores]
         self._coreless: Deque[SchedTask] = deque()
+        #: wake timers: (instant, spawn index, park_gen), one live entry
+        #: per timed task (min of deadline, spurious wake and cached
+        #: horizon); stale entries are skipped and compacted away.
+        self._timers: List[Tuple[float, int, int]] = []
+        #: tasks with a live timer entry (bounds the heap's size).
+        self._timed = 0
+        #: watched tasks whose channel fired since their last evaluation.
+        self._dirty: List[SchedTask] = []
+        #: channel-less horizon parks, re-evaluated every iteration.
+        self._polled: Dict[SchedTask, None] = {}
+        #: tasks that have exited (backs ``run_until(tasks=...)`` and the
+        #: idle check).
+        self._exits = 0
+        #: horizon closure evaluations (wake cost; not in ``stats``, so
+        #: the replay-compared ``sched_stats`` never moves with it).
+        self.horizon_evals = 0
         self._driver_evt = threading.Event()
         self._in_run = False
         kernel.sched = self
@@ -347,6 +388,7 @@ class Scheduler:
     def _task_exited(self, task: SchedTask) -> None:
         task.state = RunState.ZOMBIE
         task.done = True
+        self._exits += 1
         if task.pid is not None:
             code = 0 if task.error is None else 1
             self.kernel.tasks.exit(task.pid, code)
@@ -374,6 +416,12 @@ class Scheduler:
         task.wait_horizon = None
         task.wait_deadline = None
         task.spurious_at = None
+        for channel in task.watch:
+            channel.remove_watcher(task.notify)
+        task.watch = ()
+        task.horizon_at = None
+        self._polled.pop(task, None)
+        self._push_timer(task, None)
         if task.core is not None:
             task.core.catch_up(instant)
         self._enqueue(task)
@@ -383,15 +431,80 @@ class Scheduler:
             self.stats.spurious_wakeups += 1
         self._decision("wake", task, spurious=spurious)
 
+    # -- wake bookkeeping ---------------------------------------------------
+
+    def _mark_dirty(self, task: SchedTask) -> None:
+        """A channel the parked task watches fired: its horizon may now
+        be earlier than the cached value, so re-evaluate it."""
+        if not task.dirty and task.state is RunState.BLOCKED:
+            task.dirty = True
+            self._dirty.append(task)
+
+    def _push_timer(self, task: SchedTask, at: Optional[float]) -> None:
+        """Make ``at`` the task's one live timer entry (None: no timer)."""
+        if task.timer_at is not None:
+            self._timed -= 1
+        task.timer_at = at
+        if at is None:
+            return
+        self._timed += 1
+        timers = self._timers
+        heapq.heappush(timers, (at, task.seq, task.park_gen))
+        if len(timers) > 2 * self._timed + _HEAP_SLACK:
+            # a woken task's deadline entry outlives its park: drop every
+            # stale entry so the heap stays O(parked tasks)
+            tasks = self.tasks
+            timers[:] = [entry for entry in timers
+                         if tasks[entry[1]].park_gen == entry[2]
+                         and tasks[entry[1]].timer_at == entry[0]]
+            heapq.heapify(timers)
+
+    def _evaluate(self, task: SchedTask) -> Optional[float]:
+        if task.wait_horizon is None:
+            return None
+        self.horizon_evals += 1
+        task.horizon_at = task.wait_horizon()
+        return task.horizon_at
+
+    def _set_timer(self, task: SchedTask, horizon: Optional[float]) -> None:
+        """Time the task's wake at its earliest known instant: the
+        horizon just evaluated, its deadline or its spurious wake."""
+        at = min((instant for instant in (horizon, task.wait_deadline,
+                                          task.spurious_at)
+                  if instant is not None), default=None)
+        if at != task.timer_at:
+            self._push_timer(task, at)
+
     def _wake_ready(self) -> None:
         """Move every BLOCKED task whose horizon/deadline/spurious-wake
         instant has been reached back to RUNNABLE (deterministic order:
-        spawn order)."""
+        spawn order).
+
+        Only candidates are examined: tasks a channel marked dirty, tasks
+        whose timer is due, and polled (channel-less) parks.  Every other
+        parked task's live horizon is at or after its timer, so the full
+        scan would not wake it either."""
         now = self.clock.monotonic_ns
-        for task in self.tasks:
+        timers = self._timers
+        due = self._dirty
+        if not (due or self._polled or (timers and timers[0][0] <= now)):
+            return
+        self._dirty = []
+        tasks = self.tasks
+        while timers and timers[0][0] <= now:
+            at, seq, gen = heapq.heappop(timers)
+            task = tasks[seq]
+            if task.park_gen == gen and task.timer_at == at:
+                self._push_timer(task, None)
+                due.append(task)
+        due.extend(self._polled)
+        if len(due) > 1:
+            due = sorted(set(due), key=lambda task: task.seq)
+        for task in due:
+            task.dirty = False
             if task.state is not RunState.BLOCKED:
                 continue
-            horizon = task.wait_horizon() if task.wait_horizon else None
+            horizon = self._evaluate(task)
             if horizon is not None and horizon <= now:
                 self._wake(task, value=True, instant=horizon)
             elif task.wait_deadline is not None \
@@ -400,18 +513,43 @@ class Scheduler:
             elif task.spurious_at is not None and task.spurious_at <= now:
                 self._wake(task, value=True, instant=task.spurious_at,
                            spurious=True)
+            elif task not in self._polled:
+                self._set_timer(task, horizon)
 
     def _next_wake_ns(self) -> Optional[float]:
+        """The earliest instant any parked task can wake — exactly the
+        minimum the full scan would find, so an idle advance lands on
+        the same instant."""
         soonest: Optional[float] = None
-        for task in self.tasks:
-            if task.state is not RunState.BLOCKED:
-                continue
-            for candidate in (
-                    task.wait_horizon() if task.wait_horizon else None,
-                    task.wait_deadline, task.spurious_at):
+        # channels fired during the idle hooks: refresh those caches
+        dirty, self._dirty = self._dirty, []
+        for task in dirty:
+            task.dirty = False
+            if task.state is RunState.BLOCKED:
+                self._set_timer(task, self._evaluate(task))
+        for task in self._polled:
+            for candidate in (self._evaluate(task), task.wait_deadline,
+                              task.spurious_at):
                 if candidate is not None and (soonest is None
                                               or candidate < soonest):
                     soonest = candidate
+        timers = self._timers
+        tasks = self.tasks
+        while timers:
+            at, seq, gen = timers[0]
+            task = tasks[seq]
+            if task.park_gen != gen or task.timer_at != at:
+                heapq.heappop(timers)           # stale
+                continue
+            if at != task.horizon_at or at == task.wait_deadline \
+                    or at == task.spurious_at:
+                break           # a fixed instant: exact
+            # a cached horizon is only a lower bound: refresh it
+            self._set_timer(task, self._evaluate(task))
+            if task.timer_at == at:
+                break
+        if timers and (soonest is None or timers[0][0] < soonest):
+            soonest = timers[0][0]
         return soonest
 
     def _pick(self) -> Optional[SchedTask]:
@@ -433,21 +571,34 @@ class Scheduler:
     # -- the driver ---------------------------------------------------------
 
     def run_until(self, predicate: Optional[Callable[[], bool]] = None,
-                  max_decisions: int = MAX_DECISIONS_PER_RUN) -> str:
-        """Drive the machine until ``predicate()`` holds.
+                  max_decisions: int = MAX_DECISIONS_PER_RUN,
+                  tasks: Optional[Iterable[SchedTask]] = None) -> str:
+        """Drive the machine until ``predicate()`` holds and every task in
+        ``tasks`` has exited (either may be omitted).
 
-        Returns ``"done"`` (predicate satisfied), ``"idle"`` (every task
+        Returns ``"done"`` (condition satisfied), ``"idle"`` (every task
         is a zombie), or ``"stall"`` (live tasks remain but nothing can
-        ever wake them — the deterministic analogue of a hang).
+        ever wake them — the deterministic analogue of a hang).  Only
+        ``tasks`` and ``predicate`` both omitted runs until idle.
         """
         if self.in_task():
             raise SchedulerError("run_until called from inside a task")
         if self._in_run:
             raise SchedulerError("run_until is not reentrant")
+        waiting = None if tasks is None else \
+            [task for task in tasks if not task.done]
+        exits = self._exits
         self._in_run = True
         try:
             for _ in range(max_decisions):
-                if predicate is not None and predicate():
+                if waiting is not None:
+                    if self._exits != exits:
+                        exits = self._exits
+                        waiting = [task for task in waiting
+                                   if not task.done]
+                    if not waiting and (predicate is None or predicate()):
+                        return "done"
+                elif predicate is not None and predicate():
                     return "done"
                 self._wake_ready()
                 task = self._pick()
@@ -464,9 +615,7 @@ class Scheduler:
                             progressed = True
                     if progressed:
                         continue
-                    if all(t.done for t in self.tasks):
-                        if predicate is None:
-                            return "idle"
+                    if self._exits == len(self.tasks):
                         return "idle"
                     wake_ns = self._next_wake_ns()
                     if wake_ns is None:
@@ -525,13 +674,19 @@ class Scheduler:
         task._resume.clear()
 
     def park(self, horizon: Optional[Callable[[], Optional[float]]] = None,
-             deadline_ns: Optional[float] = None) -> bool:
+             deadline_ns: Optional[float] = None,
+             watch: Sequence[object] = ()) -> bool:
         """Block the current task.
 
         ``horizon`` is a closure returning the earliest instant the
-        awaited condition could hold (None = unknowable yet); the driver
-        re-evaluates it every iteration, so readiness produced by *other*
-        tasks (a client's send, a listener enqueue, a FIN) wakes the
+        awaited condition could hold (None = unknowable yet).
+        ``watch`` names the channels it reads — objects with
+        ``add_watcher``/``remove_watcher`` that fire on every event able
+        to make the horizon earlier (a delivery, a FIN, a listener
+        enqueue, an epoll re-arm).  The driver re-evaluates the horizon
+        when a declared channel fires or the clock reaches its cached
+        instant; without ``watch`` the park is polled, re-evaluated every
+        iteration, so readiness produced by *other* tasks still wakes the
         sleeper.  ``deadline_ns`` is an absolute timeout.  Returns True
         if woken by readiness, False on deadline or cancellation (a
         cancelled task never blocks again — see :meth:`cancel`).
@@ -548,6 +703,16 @@ class Scheduler:
         self._record_state(task)
         self.stats.parks += 1
         self._decision("park", task)
+        task.park_gen += 1
+        if horizon is not None and not watch:
+            self._polled[task] = None
+        elif horizon is not None:
+            task.watch = tuple(watch)
+            for channel in task.watch:
+                channel.add_watcher(task.notify)
+            self._mark_dirty(task)          # first evaluation
+        else:
+            self._set_timer(task, None)
         self._switch_to_driver(task)
         return task.wake_value
 

@@ -49,6 +49,8 @@ class LoadedImage:
                  hl_index_base: int, tag: str):
         self.image = image
         self.base = base
+        #: one past the last mapped byte (a built image never changes)
+        self.end = base + image.load_size
         self.hl_index_base = hl_index_base
         self.tag = tag
         self.section_bases: Dict[str, int] = {}
@@ -80,7 +82,7 @@ class LoadedImage:
         return None
 
     def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.image.load_size
+        return self.base <= addr < self.end
 
     def section_range(self, section: str) -> Tuple[int, int]:
         for name, offset, size in self.image.section_layout():

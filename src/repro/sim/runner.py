@@ -245,7 +245,7 @@ def _execute_littled(scenario: Scenario) -> RawRun:
         raw.failures = scenario.requests - raw.completed
     if chaos_task is not None and not chaos_task.done:
         sched.cancel(chaos_task)
-        sched.run_until(lambda: chaos_task.done)
+        sched.run_until(tasks=[chaos_task])
     if supervisor is not None:
         # pin the whole control-plane history (restarts, reload,
         # final served counts) into the digests the oracle compares

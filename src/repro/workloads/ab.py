@@ -216,7 +216,8 @@ class ApacheBench:
         now = self.kernel.clock.monotonic_ns
         if not sock.readable(now):
             woke = sched.park(horizon=sock.next_ready_at,
-                              deadline_ns=now + self.timeout_ns)
+                              deadline_ns=now + self.timeout_ns,
+                              watch=(sock,))
             if not woke:
                 return b""              # timeout or cancellation
         chunk = sock.recv_wait(count)
@@ -466,12 +467,11 @@ class ApacheBench:
         clients = [sched.spawn(f"ab{self._run_seq}-c{index}",
                                make_client(index, quota))
                    for index, quota in enumerate(quotas) if quota]
-        result.sched_status = sched.run_until(
-            lambda: all(task.done for task in clients))
+        result.sched_status = sched.run_until(tasks=clients)
         if result.sched_status == "stall":
             for task in clients:
                 sched.cancel(task)
-            sched.run_until(lambda: all(task.done for task in clients))
+            sched.run_until(tasks=clients)
         result.failures = requests - result.requests_completed
         result.wall_ns = self.kernel.clock.monotonic_ns - clock0
         result.server_busy_ns = \

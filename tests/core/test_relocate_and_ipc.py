@@ -1,10 +1,13 @@
 """Unit tests: the pointer relocator and the lockstep IPC channel."""
 
 import threading
+import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ipc
 from repro.core.divergence import CallRecord, DivergenceKind, \
     DivergenceReport
 from repro.core.ipc import (
@@ -12,6 +15,7 @@ from repro.core.ipc import (
     LEADER,
     LibcResult,
     LockstepChannel,
+    LockstepTimeout,
 )
 from repro.core.relocate import OldRange, PointerRelocator
 from repro.errors import MvxDivergence
@@ -245,6 +249,99 @@ def test_multiple_sequential_calls():
     channel.leader_finish()
     thread.join(timeout=10)
     assert channel.rendezvous_count == 5
+
+
+# -- the lockstep watchdog: peer progress, not host speed -----------------------------
+
+@pytest.fixture
+def short_wait(monkeypatch):
+    monkeypatch.setattr(ipc, "_WAIT_TIMEOUT_S", 0.05)
+
+
+def test_slow_leader_does_not_trip_follower_wait(short_wait):
+    """A leader that is merely slow (parked in the scheduler, traced)
+    between announcing and publishing is still making progress."""
+    channel = LockstepChannel()
+    seen = {}
+
+    def follower(ch):
+        try:
+            ch.follower_wait_turn()
+            seen["result"] = ch.follower_announce(
+                CallRecord(1, "read", (3, 100, 64), FOLLOWER))
+            ch.follower_finish()
+        except Exception as exc:          # surfaced by the assert below
+            seen["error"] = exc
+
+    thread = run_follower(channel, follower)
+    channel.leader_announce(CallRecord(1, "read", (3, 200, 64), LEADER))
+    time.sleep(0.2)                       # four watchdog slices
+    channel.leader_publish(LibcResult(1, 64, 0))
+    status = channel.leader_finish()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert "error" not in seen, seen
+    assert seen["result"].retval == 64
+    assert status.done and status.fault is None
+
+
+def test_deadlocked_channel_still_times_out(short_wait):
+    """Neither side will ever signal: the follower waits for a result
+    the leader never publishes, the leader waits for the follower to
+    finish.  Both waits give up."""
+    channel = LockstepChannel()
+    seen = {}
+
+    def follower(ch):
+        try:
+            ch.follower_announce(CallRecord(1, "read", (3,), FOLLOWER))
+        except LockstepTimeout as exc:
+            seen["timeout"] = exc
+
+    thread = run_follower(channel, follower)
+    while not channel.status[FOLLOWER].calls_made:
+        time.sleep(0.001)
+    with pytest.raises(LockstepTimeout, match="protocol stall"):
+        channel.leader_finish()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert "protocol stall" in str(seen.get("timeout"))
+
+
+def test_dead_follower_thread_trips_the_leader_wait(short_wait):
+    channel = LockstepChannel()
+
+    def follower(ch):
+        ch.follower_wait_turn()           # then dies without finishing
+
+    run_follower(channel, follower)
+    with pytest.raises(LockstepTimeout, match="follower thread died"):
+        channel.leader_announce(CallRecord(1, "write", (1,), LEADER))
+
+
+def test_follower_crash_of_any_kind_finishes_with_a_fault():
+    """An unexpected exception in the follower thread is reported as a
+    follower fault instead of leaving the leader waiting."""
+    from repro.core.monitor import SmvxMonitor
+
+    class Crashing:
+        def guest_call(self, *args):
+            raise KeyError("follower bug")
+
+    monitor = SmvxMonitor.__new__(SmvxMonitor)
+    monitor.process = Crashing()
+    channel = LockstepChannel()
+    variant = types.SimpleNamespace(thread=None, entry=0)
+    thread = threading.Thread(target=monitor._follower_main,
+                              args=(variant, (), channel), daemon=True)
+    channel.threads[FOLLOWER] = thread
+    thread.start()
+    with pytest.raises(MvxDivergence) as info:
+        channel.leader_announce(CallRecord(1, "write", (1,), LEADER))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert info.value.report.kind is DivergenceKind.FOLLOWER_FAULT
+    assert "KeyError" in channel.status[FOLLOWER].fault
 
 
 # -- call-record comparison -----------------------------------------------------------

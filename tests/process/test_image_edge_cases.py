@@ -153,6 +153,28 @@ def test_shifted_copy_view_symbol_math():
     assert copy not in proc.loader.images
 
 
+def test_image_at_first_last_and_one_past_end():
+    builder = ImageBuilder("edges")
+    builder.add_hl_function("f", lambda ctx: 0, 0)
+    builder.add_data("blob", b"x" * 100)
+    proc = GuestProcess(Kernel(), "p")
+    libc = proc.load_image(build_libc_image(), tag="libc")
+    app = proc.load_image(builder.build())
+    copy = proc.loader.register_shifted_copy(app, 0x1000_0000, "copy")
+    for loaded in (libc, app, copy):
+        assert loaded.end == loaded.base + loaded.image.load_size
+        assert proc.loader.image_at(loaded.base) is loaded
+        assert proc.loader.image_at(loaded.end - 1) is loaded
+        assert loaded.contains(loaded.end - 1)
+        assert not loaded.contains(loaded.end)
+        past = proc.loader.image_at(loaded.end)
+        assert past is not loaded
+        assert past is None or past.base == loaded.end   # an adjacent image
+        before = proc.loader.image_at(loaded.base - 1)
+        assert before is not loaded
+    assert copy.end - app.end == 0x1000_0000
+
+
 def test_function_at_boundaries():
     builder = ImageBuilder("bounds")
     builder.add_hl_function("first", lambda ctx: 0, 0, size=64)
