@@ -1,44 +1,42 @@
-"""Interpreter throughput (ISSUE acceptance criterion): guest MIPS per
-interpreter tier, reported per workload in ``BENCH_interp.json``.
+"""Interpreter throughput: guest MIPS and host time per interpreter tier,
+reported per workload in ``BENCH_interp.json``.
 
-Tiers (see docs/architecture.md §13 for the three-tier contract):
+Tiers (see docs/architecture.md §8 for the two-tier contract):
 
-* **jit**      — the default interpreter: hot superblocks translated to
-  specialized Python closures (``repro.machine.jit``) above the decoded
-  page cache;
-* **fast**     — ``jit_enabled=False``: per-page decoded-instruction
-  cache, inlined dispatch, software TLB, batched charging (the PR-2
-  interpreter);
+* **fast**     — the default interpreter: per-page decoded-instruction
+  cache, inlined dispatch, software TLB, batched charging;
 * **precise**  — ``force_slow_path=True``: per-instruction ``step()``
   (still decode-cached — this is what tracing/taint pay);
 * **baseline** — precise plus a per-fetch re-decode ``_fetch`` override,
-  reproducing the pre-PR-2 interpreter (the historical "before").
+  reproducing the interpreter before the fast path (the historical
+  "before"; lcg-checksum only).
 
 Workloads:
 
-* **lcg-checksum** — the nbench-flavoured compute loop; all four tiers
+* **lcg-checksum** — the nbench-flavoured compute loop; all three tiers
   must retire the same instruction count, produce the same checksum and
-  charge identical virtual cycles, and the jit tier must clear the
-  pinned speedup over the fast path in steady state;
-* **nbench** — one real suite workload (Numeric Sort) run vanilla
-  through :class:`repro.apps.nbench.harness.NbenchHarness` machinery
-  per tier: identical checksum and virtual ns, host time reported;
-* **minx-request-loop** — ApacheBench against the minx server per tier:
-  zero failures and identical virtual busy-time per request, host
-  requests/sec reported.
-
-The steady-state jit measurement takes the best of several trials after
-a warmup run: CPython's adaptive interpreter needs one pass over the
-generated closure before it reaches steady state, and CI runners are
-noisy.
+  charge identical virtual cycles, and the fast path must stay at least
+  3x the baseline;
+* **the paper workloads** — each of the ten nbench kernels (one vanilla
+  plus one sMVX run, Fig. 6), ApacheBench against sMVX-protected minx
+  and against littled (Fig. 7), and the CVE-2013-2028 exploit against
+  protected minx (§4.2).  Every run on either tier must reproduce the
+  same virtual-time result.  Host time is one warm-up run per tier, then
+  the median of ``REPEATS`` runs per tier taken in alternating order;
+  server boot is outside the timed section.
 """
 
 import json
 import os
+import platform
+import statistics
 import time
 from contextlib import contextmanager
 
-from conftest import make_minx
+from conftest import make_littled, make_minx
+from repro.apps.nbench.harness import NbenchHarness
+from repro.apps.nbench.workloads import NBENCH_WORKLOADS
+from repro.attacks import run_exploit
 from repro.errors import InvalidInstruction
 from repro.machine import (
     INSTR_SIZE,
@@ -57,32 +55,25 @@ from repro.workloads import ApacheBench
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x50_0000
 STACK_TOP = 0x7000_0000
-#: iteration count for the four-tier equality proof (precise and the
+#: iteration count for the three-tier equality proof (precise and the
 #: re-decode baseline are slow; this keeps them to well under a second)
 ITERATIONS = 12_000
-#: iteration count for the steady-state jit measurement (long enough
-#: that the one-time translation cost is noise)
-JIT_ITERATIONS = 200_000
-#: best-of trials for the steady-state jit/fast numbers
-TRIALS = 3
-NBENCH_INDEX = 0               # Numeric Sort
-MINX_REQUESTS = 20
+#: timed runs per tier and workload, after one warm-up run per tier
+REPEATS = 5
+REQUESTS = 20
+PROTECT = "minx_http_process_request_line"
+TIERS = ("fast", "precise")
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_interp.json")
 
 
-class FastCPU(CPU):
-    """The PR-2 fast path with the jit tier switched off."""
-
-    jit_enabled = False
+class PreciseCPU(CPU):
+    force_slow_path = True
 
 
-class BaselineCPU(CPU):
+class BaselineCPU(PreciseCPU):
     """The pre-fast-path interpreter: precise stepping with a full
     fetch + decode from raw page bytes on every instruction."""
-
-    force_slow_path = True
-    jit_enabled = False
 
     def _fetch(self, state):
         addr = state.regs.rip
@@ -99,6 +90,7 @@ class BaselineCPU(CPU):
         except InvalidInstruction as exc:  # pragma: no cover
             exc.address = addr
             raise
+
 
 def lcg_checksum_kernel(iterations):
     """nbench-flavoured compute loop: an LCG stream written through a
@@ -128,9 +120,9 @@ def lcg_checksum_kernel(iterations):
     return a
 
 
-def _run(cpu_cls, iterations=ITERATIONS):
+def _run(cpu_cls):
     space = AddressSpace()
-    code = lcg_checksum_kernel(iterations).assemble(CODE_BASE)
+    code = lcg_checksum_kernel(ITERATIONS).assemble(CODE_BASE)
     space.mmap(CODE_BASE, len(code), prot=PROT_RX, tag="text")
     for offset in range(0, len(code), PAGE_SIZE):
         page = space.page_at(CODE_BASE + offset)
@@ -158,185 +150,148 @@ def _run(cpu_cls, iterations=ITERATIONS):
     }
 
 
-def _precise_cpu(space):
-    cpu = CPU(space)
-    cpu.force_slow_path = True
-    return cpu
-
-
-@contextmanager
-def _tier(name):
-    """Pin every CPU constructed in the block to one interpreter tier
-    (the server/nbench harnesses build their machines internally)."""
-    saved = (CPU.jit_enabled, CPU.force_slow_path)
-    CPU.jit_enabled = name == "jit"
-    CPU.force_slow_path = name == "precise"
-    try:
-        yield
-    finally:
-        CPU.jit_enabled, CPU.force_slow_path = saved
-
-
 def _bench_lcg():
-    tiers = {
-        "jit": _run(CPU),
-        "fast": _run(FastCPU),
-        "precise": _run(_precise_cpu),
-        "baseline": _run(BaselineCPU),
-    }
+    tiers = {"fast": _run(CPU), "precise": _run(PreciseCPU),
+             "baseline": _run(BaselineCPU)}
     # identical architectural results in every configuration
     reference = tiers["fast"]
     for name, run in tiers.items():
         assert run["checksum"] == reference["checksum"], name
         assert run["instructions"] == reference["instructions"], name
         assert run["virtual_ns"] == reference["virtual_ns"], name
-    assert tiers["jit"]["stats"]["jit_insns"] > 0
-    assert tiers["precise"]["stats"]["jit_insns"] == 0
-
-    # steady state: best-of-TRIALS at JIT_ITERATIONS after one warmup
-    # (CPython's adaptive interpreter, noisy CI runners)
-    _run(CPU, JIT_ITERATIONS)
-    best_jit, best_fast = None, None
-    for _ in range(TRIALS):
-        jit = _run(CPU, JIT_ITERATIONS)
-        fast = _run(FastCPU, JIT_ITERATIONS)
-        assert jit["checksum"] == fast["checksum"]
-        assert jit["virtual_ns"] == fast["virtual_ns"]
-        if best_jit is None or jit["mips"] > best_jit["mips"]:
-            best_jit = jit
-        if best_fast is None or fast["mips"] > best_fast["mips"]:
-            best_fast = fast
-    return tiers, best_jit, best_fast
+    assert tiers["fast"]["stats"]["precise_insns"] == 0
+    assert tiers["precise"]["stats"]["fast_insns"] == 0
+    return tiers
 
 
-def _bench_nbench():
-    from repro.apps.nbench.harness import NbenchHarness
-    from repro.apps.nbench.workloads import NBENCH_WORKLOADS
-
-    results = {}
-    for name in ("jit", "fast", "precise"):
-        with _tier(name):
-            harness = NbenchHarness(runs=1)
-            host_t0 = time.perf_counter()
-            virtual_ns, checksum = harness._run_once(NBENCH_INDEX,
-                                                     smvx=False)
-            host_s = time.perf_counter() - host_t0
-        results[name] = {"host_s": host_s, "virtual_ns": virtual_ns,
-                         "checksum": checksum}
-    reference = results["fast"]
-    for name, run in results.items():
-        assert run["checksum"] == reference["checksum"], name
-        assert run["virtual_ns"] == reference["virtual_ns"], name
-    return NBENCH_WORKLOADS[NBENCH_INDEX].name, results
+# -- the paper workloads, timed warm per tier --------------------------------
+#
+# A unit builds whatever it needs, times its workload, and returns
+# (host seconds, virtual result); the virtual result must not depend on
+# the tier.
 
 
-def _bench_minx():
-    results = {}
-    for name in ("jit", "fast", "precise"):
-        with _tier(name):
-            kernel, server = make_minx()
-            bench = ApacheBench(kernel, server)
-            host_t0 = time.perf_counter()
-            result = bench.run(MINX_REQUESTS)
-            host_s = time.perf_counter() - host_t0
-        assert result.failures == 0, name
-        results[name] = {
-            "host_s": host_s,
-            "requests_per_host_s": MINX_REQUESTS / host_s,
-            "busy_per_request_ns": result.busy_per_request_ns,
-        }
-    reference = results["fast"]
-    for name, run in results.items():
-        assert run["busy_per_request_ns"] == \
-            reference["busy_per_request_ns"], name
-    return results
+@contextmanager
+def _tier(name):
+    """Pin every CPU constructed in the block to one interpreter tier
+    (the server/nbench harnesses build their machines internally)."""
+    saved = CPU.force_slow_path
+    CPU.force_slow_path = name == "precise"
+    try:
+        yield
+    finally:
+        CPU.force_slow_path = saved
+
+
+def _nbench_unit(index):
+    def unit():
+        harness = NbenchHarness(runs=1)
+        host_t0 = time.perf_counter()
+        vanilla = harness._run_once(index, smvx=False)
+        smvx = harness._run_once(index, smvx=True)
+        host_s = time.perf_counter() - host_t0
+        assert vanilla[1] == smvx[1]
+        return host_s, {"virtual_ns_vanilla": vanilla[0],
+                        "virtual_ns_smvx": smvx[0], "checksum": vanilla[1]}
+    return unit
+
+
+def _serve_unit(make, **kwargs):
+    def unit():
+        kernel, server = make(**kwargs)
+        bench = ApacheBench(kernel, server)
+        host_t0 = time.perf_counter()
+        result = bench.run(REQUESTS)
+        host_s = time.perf_counter() - host_t0
+        assert result.failures == 0
+        return host_s, {"virtual_busy_per_request_ns":
+                        result.busy_per_request_ns}
+    return unit
+
+
+def _cve_unit():
+    kernel, server = make_minx(smvx=True, protect=PROTECT)
+    host_t0 = time.perf_counter()
+    outcome = run_exploit(server)
+    host_s = time.perf_counter() - host_t0
+    assert outcome.attack_detected_and_blocked
+    report = server.alarms.alarms[0]
+    return host_s, {"virtual_end_ns": kernel.clock.monotonic_ns,
+                    "alarm_kind": report.kind.name,
+                    "alarm_guest_pc": hex(report.guest_pc)}
+
+
+def _workloads():
+    units = {f"nbench/{spec.name}": _nbench_unit(index)
+             for index, spec in enumerate(NBENCH_WORKLOADS)}
+    units["minx-smvx"] = _serve_unit(make_minx, smvx=True, protect=PROTECT)
+    units["littled"] = _serve_unit(make_littled)
+    units["cve-2013-2028"] = _cve_unit
+    return units
+
+
+def _measure(unit):
+    """One warm-up run per tier, then ``REPEATS`` runs per tier in
+    alternating tier order; returns the workload's row: host-time
+    median/min/max per tier and the (tier-independent) virtual result."""
+    samples = {tier: [] for tier in TIERS}
+    reference = None
+    for repeat in range(REPEATS + 1):
+        for tier in (TIERS if repeat % 2 else TIERS[::-1]):
+            with _tier(tier):
+                host_s, virtual = unit()
+            if reference is None:
+                reference = virtual
+            assert virtual == reference, tier
+            if repeat:                     # repeat 0 is the warm-up
+                samples[tier].append(host_s)
+    row = {}
+    for tier, runs in samples.items():
+        row[f"{tier}_host_s_median"] = round(statistics.median(runs), 4)
+        row[f"{tier}_host_s_min"] = round(min(runs), 4)
+        row[f"{tier}_host_s_max"] = round(max(runs), 4)
+    row["fast_speedup_vs_precise"] = round(
+        row["precise_host_s_median"] / row["fast_host_s_median"], 2)
+    return {**row, **reference}
 
 
 def test_interp_throughput(table):
-    tiers, best_jit, best_fast = _bench_lcg()
-    jit_speedup = best_jit["mips"] / best_fast["mips"]
-    speedup_vs_baseline = tiers["fast"]["mips"] / tiers["baseline"]["mips"]
-    nbench_name, nbench = _bench_nbench()
-    minx = _bench_minx()
-
-    def entry(run):
-        return {"mips": round(run["mips"], 3),
-                "host_s": round(run["host_s"], 4)}
+    lcg = _bench_lcg()
+    speedup_vs_baseline = lcg["fast"]["mips"] / lcg["baseline"]["mips"]
+    lcg_row = {"iterations": ITERATIONS,
+               "guest_instructions": lcg["fast"]["instructions"]}
+    for name, run in lcg.items():
+        lcg_row[f"{name}_mips"] = round(run["mips"], 3)
+        lcg_row[f"{name}_host_s"] = round(run["host_s"], 4)
+    lcg_row["fast_speedup_vs_baseline"] = round(speedup_vs_baseline, 2)
+    workloads = {"lcg-checksum": lcg_row}
+    for name, unit in _workloads().items():
+        workloads[name] = _measure(unit)
 
     payload = {
-        "workloads": {
-            "lcg-checksum": {
-                "iterations": JIT_ITERATIONS,
-                "guest_instructions": best_jit["instructions"],
-                "tiers": {
-                    "jit": entry(best_jit),
-                    "fast": entry(best_fast),
-                    "precise": entry(tiers["precise"]),
-                    "baseline": entry(tiers["baseline"]),
-                },
-                "jit_speedup_vs_fast": round(jit_speedup, 2),
-                "fast_speedup_vs_baseline": round(speedup_vs_baseline, 2),
-            },
-            "nbench": {
-                "workload": nbench_name,
-                "tiers": {name: {"host_s": round(run["host_s"], 4)}
-                          for name, run in nbench.items()},
-                "virtual_ns": nbench["fast"]["virtual_ns"],
-                "jit_speedup_vs_fast": round(
-                    nbench["fast"]["host_s"] / nbench["jit"]["host_s"], 2),
-            },
-            "minx-request-loop": {
-                "requests": MINX_REQUESTS,
-                "tiers": {name: {
-                    "host_s": round(run["host_s"], 4),
-                    "requests_per_host_s":
-                        round(run["requests_per_host_s"], 1)}
-                    for name, run in minx.items()},
-                "busy_per_request_ns":
-                    minx["fast"]["busy_per_request_ns"],
-                "jit_speedup_vs_fast": round(
-                    minx["fast"]["host_s"] / minx["jit"]["host_s"], 2),
-            },
-        },
-        "jit_speedup_vs_fast": round(jit_speedup, 2),
-        "jit_mips": round(best_jit["mips"], 3),
-        "fast_mips": round(best_fast["mips"], 3),
+        "python": platform.python_version(),
+        "repeats": REPEATS,
+        "requests": REQUESTS,
+        "workloads": workloads,
     }
     with open(BENCH_JSON, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
-    table(f"Interpreter throughput (lcg-checksum, {JIT_ITERATIONS:,} "
-          f"iterations steady-state; equality proof at {ITERATIONS:,})",
+    table(f"Interpreter throughput (lcg-checksum, {ITERATIONS:,} "
+          f"iterations)",
           ("tier", "guest MIPS", "host time"),
-          [("jit", f"{best_jit['mips']:.2f}",
-            f"{best_jit['host_s'] * 1e3:,.1f} ms"),
-           ("fast", f"{best_fast['mips']:.2f}",
-            f"{best_fast['host_s'] * 1e3:,.1f} ms"),
-           ("precise", f"{tiers['precise']['mips']:.2f}",
-            f"{tiers['precise']['host_s'] * 1e3:,.1f} ms"),
-           ("baseline", f"{tiers['baseline']['mips']:.2f}",
-            f"{tiers['baseline']['host_s'] * 1e3:,.1f} ms")])
-    table("Per-workload jit vs fast (host time)",
-          ("workload", "jit", "fast", "speedup"),
-          [("lcg-checksum", f"{best_jit['host_s'] * 1e3:,.1f} ms",
-            f"{best_fast['host_s'] * 1e3:,.1f} ms",
-            f"{jit_speedup:.2f}x"),
-           (f"nbench/{nbench_name}",
-            f"{nbench['jit']['host_s'] * 1e3:,.1f} ms",
-            f"{nbench['fast']['host_s'] * 1e3:,.1f} ms",
-            f"{nbench['fast']['host_s'] / nbench['jit']['host_s']:.2f}x"),
-           ("minx-request-loop",
-            f"{minx['jit']['host_s'] * 1e3:,.1f} ms",
-            f"{minx['fast']['host_s'] * 1e3:,.1f} ms",
-            f"{minx['fast']['host_s'] / minx['jit']['host_s']:.2f}x")])
+          [(name, f"{run['mips']:.2f}", f"{run['host_s'] * 1e3:,.1f} ms")
+           for name, run in lcg.items()])
+    table(f"Per-workload fast vs precise (host time, median of {REPEATS} "
+          f"warm runs)",
+          ("workload", "fast", "precise", "fast speedup"),
+          [(name, f"{row['fast_host_s_median'] * 1e3:,.1f} ms",
+            f"{row['precise_host_s_median'] * 1e3:,.1f} ms",
+            f"{row['fast_speedup_vs_precise']:.2f}x")
+           for name, row in workloads.items()
+           if "fast_speedup_vs_precise" in row])
 
     assert speedup_vs_baseline >= 3.0, \
         f"fast path is only {speedup_vs_baseline:.2f}x the pre-PR " \
         f"interpreter (need >= 3x); see {BENCH_JSON}"
-    # the pinned jit floor is deliberately below the ~10-12x measured on
-    # a quiet machine: CI runners are noisy and the floor guards against
-    # silent de-optimization, not against scheduler jitter
-    assert jit_speedup >= 6.0, \
-        f"jit tier is only {jit_speedup:.2f}x the fast path " \
-        f"(pinned floor 6x); see {BENCH_JSON}"

@@ -214,44 +214,6 @@ def _wire_block(cfg: FunctionCFG, block: BasicBlock, base: int, end: int,
     block.successors = tuple(dict.fromkeys(succs))
 
 
-def recover_hot_region(code: bytes, base: int, entry: int,
-                       max_blocks: int = 16) -> Dict[int, BasicBlock]:
-    """Bounded superblock region for the JIT tier (``repro.machine.jit``).
-
-    Recovers the CFG of ``code`` (one page, or any straight byte run laid
-    out at ``base``) and returns the blocks reachable from ``entry``,
-    breadth-first, capped at ``max_blocks``.  Edges leaving the returned
-    region (page escapes, indirect branches, blocks past the cap) simply
-    don't appear in a block's reachable set — the translator emits exits
-    for them.
-
-    If ``entry`` is not a leader of the page-wide CFG (code misaligned
-    with respect to ``base``, or the promoting branch lives on another
-    page), recovery retries on the tail slice starting exactly at
-    ``entry`` so the promoted address itself anchors the region.
-    """
-    cfg = recover_cfg(code, base=base, name=f"hot@{entry:#x}")
-    if entry not in cfg.blocks:
-        off = entry - base
-        if off < 0 or off >= len(code):
-            return {}
-        cfg = recover_cfg(code[off:], base=entry, name=f"hot@{entry:#x}")
-        if entry not in cfg.blocks:
-            return {}
-    region: Dict[int, BasicBlock] = {}
-    queue: List[int] = [entry]
-    while queue and len(region) < max_blocks:
-        start = queue.pop(0)
-        if start in region:
-            continue
-        block = cfg.blocks.get(start)
-        if block is None or not block.instructions:
-            continue
-        region[start] = block
-        queue.extend(s for s in block.successors if s not in region)
-    return region
-
-
 def symbol_resolver(image: ProgramImage) -> Callable[[int], Optional[str]]:
     """Map a ``.text``-relative offset to the name of the function (or
     PLT entry) containing it, using the image's section layout — the same

@@ -554,8 +554,21 @@ class SmvxMonitor:
 
         retval = self._execute_libc(thread, name, args)
         self.stats.emulated_calls += 1
-        follower_ret, copied = self._emulate_for_follower(
-            spec, retval, record, follower_record)
+        try:
+            follower_ret, copied = self._emulate_for_follower(
+                spec, retval, record, follower_record)
+        except MachineFault as fault:
+            # the follower's memory cannot take the result (its buffer
+            # lies in an unmapped page): a follower fault, reported now
+            # rather than left for the follower to wait out
+            report = DivergenceReport(
+                DivergenceKind.FOLLOWER_FAULT, record.seq, name,
+                f"emulating {name} into the follower: "
+                f"{type(fault).__name__}: {fault}",
+                task_id=region.variant.thread.tid, guest_pc=fault.address)
+            region.channel.leader_abort(report)
+            self._teardown_region(alarm=report)
+            raise MvxDivergence(report)
         region.channel.leader_publish(LibcResult(
             record.seq, follower_ret, thread.errno,
             buffers_copied=tuple(copied)))

@@ -21,13 +21,6 @@ interest list, advancing whenever a poll saturates ``max_events``.
 The instance is itself a channel: every ``arm`` fires its watchers, so
 a task parked in ``epoll_wait`` declares the instance and is re-checked
 by the scheduler only when one of its fds may have become ready.
-
-Probes may return the legacy 3-tuple ``(readable, writable, hup)`` or the
-richer 4-tuple with ``next_ready_at`` appended.  Only 4-tuple probes opt
-in to disarming: a 3-tuple probe carries no in-flight information, so its
-fds stay armed and the instance degrades to the old O(interest) scan —
-which keeps direct users of :class:`EpollInstance` (tests, tools) working
-unchanged without registering channels.
 """
 
 from __future__ import annotations
@@ -156,9 +149,9 @@ class EpollInstance(Channel):
              max_events: int) -> List[Tuple[int, int]]:
         """Collect ready ``(events, data)`` pairs from the armed list.
 
-        ``probe(fd)`` returns ``(readable, writable, hup)`` — optionally
-        with ``next_ready_at`` appended — for a live fd, or ``None`` for a
-        stale one.
+        ``probe(fd)`` returns ``(readable, writable, hup, next_ready_at)``
+        for a live fd (``next_ready_at`` is ``None`` when nothing is in
+        flight), or ``None`` for a stale one.
 
         The scan starts at a rotating position: whenever a poll returns a
         full ``max_events`` batch, the next scan begins just past the last
@@ -185,8 +178,7 @@ class EpollInstance(Channel):
                 # never probed again.
                 self._disarm(fd)
                 continue
-            readable, writable, hup = state[0], state[1], state[2]
-            pending = state[3] if len(state) > 3 else False
+            readable, writable, hup, pending = state
             events = 0
             if readable and interest.events & EPOLLIN:
                 events |= EPOLLIN
@@ -200,11 +192,9 @@ class EpollInstance(Channel):
                     self._rotation = (start + position + 1) % len(items)
                     break
             elif pending is None and not interest.events & EPOLLOUT:
-                # A 4-tuple probe says: idle now, nothing in flight.  The
-                # channel watcher will re-arm on the next delivery.
-                # (EPOLLOUT interests stay armed — writability has no
-                # delivery event.)  3-tuple probes (pending=False) never
-                # disarm: legacy callers keep O(interest) semantics.
+                # Idle now, nothing in flight: the channel watcher will
+                # re-arm on the next delivery.  (EPOLLOUT interests stay
+                # armed — writability has no delivery event.)
                 self._disarm(fd)
         return ready
 

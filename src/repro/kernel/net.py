@@ -90,12 +90,6 @@ class Socket(Channel):
         """Has the peer's FIN arrived by ``now``?"""
         return self.fin_at is not None and self.fin_at <= now
 
-    @property
-    def peer_closed(self) -> bool:
-        """FIN-received state at the current instant (compat shim for
-        callers without a ``now`` in hand)."""
-        return self.fin_visible(self._network.clock.monotonic_ns)
-
     def next_ready_at(self) -> Optional[float]:
         """Earliest instant at which this socket becomes readable."""
         if self._inbox:

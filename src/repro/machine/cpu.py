@@ -289,12 +289,6 @@ class CPU:
     #: differential tests and handy when bisecting a fast-path suspect.
     force_slow_path = False
 
-    #: Class-wide switch for the third tier (also settable per instance
-    #: *before* construction): when False no JitEngine is created and the
-    #: fast path never promotes hot blocks.  The differential tests pin
-    #: this to isolate the fast tier.
-    jit_enabled = True
-
     def __init__(self, space: AddressSpace,
                  counter: Optional[CycleCounter] = None,
                  costs: CostModel = DEFAULT_COSTS,
@@ -316,12 +310,8 @@ class CPU:
         #: per-tier retirement counters (sum == instructions_retired)
         self.precise_insns = 0
         self.fast_insns = 0
+        #: always 0; kept because perfbench/layers.py reads it per run
         self.jit_insns = 0
-        if self.jit_enabled:
-            from repro.machine.jit import JitEngine  # avoid import cycle
-            self.jit: Optional["JitEngine"] = JitEngine(self)
-        else:
-            self.jit = None
 
     def stats(self) -> dict:
         """Per-tier execution statistics (deterministic across identical
@@ -329,18 +319,12 @@ class CPU:
         replays).  The TLB hit rate is approximate: observer-path
         accesses bypass the TLB but still count as accesses."""
         space = self.space
-        jit = self.jit
         accesses = space.access_count
         fills = space.tlb_fills
         return {
             "precise_insns": self.precise_insns,
             "fast_insns": self.fast_insns,
-            "jit_insns": self.jit_insns,
             "instructions_retired": self.instructions_retired,
-            "jit_blocks": jit.blocks_translated if jit else 0,
-            "jit_promotions": jit.promotions if jit else 0,
-            "jit_invalidations": jit.invalidations if jit else 0,
-            "jit_entries": jit.entries if jit else 0,
             "tlb_fills": fills,
             "tlb_hit_rate": (round(1.0 - fills / accesses, 6)
                              if accesses else 1.0),
@@ -478,9 +462,6 @@ class CPU:
         space_write = space.write
         fetch_check = space.fetch_check
         M = _MASK64
-        # the JIT tier only engages on unbounded runs: with max_steps the
-        # batch size of a translation could overshoot the step budget
-        jit = self.jit if max_steps is None else None
         pending = 0
         cur_idx = -1
         cur_epoch = -1
@@ -559,37 +540,23 @@ class CPU:
                 elif op == 0x43:          # JE
                     if regs.flags & 1:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x44:          # JNE
                     if not regs.flags & 1:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x40:          # JMP
                     regs.rip = (rip_next + imm) & M
-                    if imm < 0 and jit is not None:
-                        steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x45:          # JL
                     if regs.flags & 2:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x46:          # JGE
                     if not regs.flags & 2:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x47:          # JB
                     if regs.flags & 4:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x48:          # JAE
                     if not regs.flags & 4:
                         regs.rip = (rip_next + imm) & M
-                        if imm < 0 and jit is not None:
-                            steps += jit.maybe_enter(state, until_rip)
                 elif op == 0x50:          # CALL
                     rsp = (regs_d["rsp"] - 8) & M
                     regs_d["rsp"] = rsp

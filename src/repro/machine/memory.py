@@ -76,7 +76,7 @@ def page_align_up(addr: int) -> int:
 class Page:
     """One 4 KiB page: backing bytes, R/W/X permissions, protection key."""
 
-    __slots__ = ("data", "prot", "pkey", "tag", "decode_cache", "jit_cache")
+    __slots__ = ("data", "prot", "pkey", "tag", "decode_cache")
 
     def __init__(self, prot: int = PROT_RW, pkey: int = PKEY_DEFAULT,
                  tag: str = ""):
@@ -91,23 +91,12 @@ class Page:
         #: Page itself, pages aliased into other spaces (share_into) are
         #: invalidated through whichever space performs the write.
         self.decode_cache: Optional[dict] = None
-        #: per-page JIT code cache, owned by :mod:`repro.machine.jit`
-        #: (offset -> Translation, or ``False`` for a blacklisted entry).
-        #: Invalidated by exactly the same hooks as ``decode_cache``.
-        self.jit_cache: Optional[dict] = None
 
     def invalidate_decode(self) -> None:
-        """Drop the decoded-instruction cache *and* any JIT translations
-        anchored on this page.  Must be called by host code that mutates
-        ``data`` directly instead of going through ``AddressSpace.write``
-        (e.g. variant page refresh)."""
+        """Drop the decoded-instruction cache.  Must be called by host
+        code that mutates ``data`` directly instead of going through
+        ``AddressSpace.write`` (e.g. variant page refresh)."""
         self.decode_cache = None
-        cache = self.jit_cache
-        if cache is not None:
-            self.jit_cache = None
-            for translation in cache.values():
-                if translation:        # skip blacklist markers (False)
-                    translation.invalidate()
 
     def clone(self) -> "Page":
         page = Page(self.prot, self.pkey, self.tag)
@@ -426,7 +415,7 @@ class AddressSpace:
             offset = cursor % PAGE_SIZE
             chunk = min(len(view), PAGE_SIZE - offset)
             page.data[offset:offset + chunk] = view[:chunk]
-            if page.decode_cache is not None or page.jit_cache is not None:
+            if page.decode_cache is not None:
                 page.invalidate_decode()
             cursor += chunk
             view = view[chunk:]
@@ -467,7 +456,7 @@ class AddressSpace:
         self.access_count += 1
         page = self._lookup_write(addr, pkru, privileged)
         _WORD_STRUCT.pack_into(page.data, addr % PAGE_SIZE, value & _MASK64)
-        if page.decode_cache is not None or page.jit_cache is not None:
+        if page.decode_cache is not None:
             page.invalidate_decode()
 
     def read_cstring(self, addr: int, pkru: int = PKRU_ALLOW_ALL,

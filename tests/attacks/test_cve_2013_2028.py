@@ -85,6 +85,26 @@ def test_exploit_also_detected_when_protecting_event_loop(kernel):
     assert outcome.divergence_detected
 
 
+def test_mid_subtree_region_reports_emulation_fault_at_once(kernel):
+    """Protecting ``minx_http_handler`` leaves the follower's copy of the
+    discard buffer in a follower stack page that was never mapped.  The
+    monitor faults copying the leader's ``recv`` result into it, and that
+    is a follower fault reported at the call — not a lockstep stall the
+    watchdog ends."""
+    server = MinxServer(kernel, protect="minx_http_handler", smvx=True)
+    server.start()
+    outcome = run_exploit(server)
+    assert outcome.attack_detected_and_blocked
+    assert outcome.alarm_count == 1
+    report = server.alarms.alarms[0]
+    assert report.kind is DivergenceKind.FOLLOWER_FAULT
+    assert report.libc_name == "recv"
+    assert report.seq >= 1 and report.task_id >= 0
+    assert report.guest_pc > 0                  # the faulting address
+    assert f"{report.guest_pc:#x}" in report.detail
+    assert "lockstep timeout" not in report.detail
+
+
 def test_exploit_misses_unprotected_region(kernel):
     """False-negative surface the paper discusses (§5): if the annotation
     protects a function whose subtree does NOT contain the vulnerable

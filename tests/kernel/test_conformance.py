@@ -91,10 +91,11 @@ def test_eof_never_precedes_in_flight_data(kernel):
 def test_shutdown_write_fin_is_latent(kernel):
     client, server_end = _connected_pair(kernel, 9201)
     server_end.shutdown_write()
-    assert not client.peer_closed               # FIN still in flight
+    # FIN still in flight
+    assert not client.fin_visible(kernel.clock.monotonic_ns)
     assert client.recv(16) == -Errno.EAGAIN
     kernel.clock.advance_ns(kernel.network.latency_ns)
-    assert client.peer_closed
+    assert client.fin_visible(kernel.clock.monotonic_ns)
     assert client.recv(16) == b""
 
 
@@ -113,7 +114,7 @@ def test_epoll_rotation_serves_every_ready_fd():
     ep = EpollInstance()
     for fd in (3, 4, 5, 6):
         assert ep.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, fd) == 0
-    probe = lambda fd: (True, False, False)     # everyone always ready
+    probe = lambda fd: (True, False, False, 0)  # everyone always ready
     served = set()
     for _ in range(2):                          # two saturated polls
         batch = ep.poll(0, probe, max_events=2)
@@ -127,7 +128,7 @@ def test_epoll_unsaturated_polls_keep_stable_order():
     ep = EpollInstance()
     for fd in (3, 4, 5):
         ep.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, fd)
-    probe = lambda fd: (True, False, False)
+    probe = lambda fd: (True, False, False, 0)
     first = ep.poll(0, probe, max_events=16)
     second = ep.poll(0, probe, max_events=16)
     assert first == second                      # rotation untouched
@@ -262,5 +263,5 @@ def test_listener_close_fins_queued_unaccepted_connects(kernel):
     assert listener.pending_count() == 1        # queued, never accepted
     listener.close()
     kernel.clock.advance_ns(kernel.network.latency_ns)
-    assert client.peer_closed                   # FIN delivered
+    assert client.fin_visible(kernel.clock.monotonic_ns)   # FIN delivered
     assert client.recv(16) == b""               # clean EOF, client retries

@@ -83,15 +83,15 @@ def test_epoll_poll_masks_and_maxevents():
     for fd in range(5):
         ep.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, fd * 10)
 
-    ready = ep.poll(0, lambda fd: (True, False, False), max_events=3)
+    ready = ep.poll(0, lambda fd: (True, False, False, 0), max_events=3)
     assert len(ready) == 3                     # capped
     assert all(events & EPOLLIN for events, _data in ready)
 
     # an interest in OUT only does not fire on readable-only fds
     ep2 = EpollInstance()
     ep2.ctl(EPOLL_CTL_ADD, 1, EPOLLOUT, 7)
-    assert ep2.poll(0, lambda fd: (True, False, False), 8) == []
-    assert ep2.poll(0, lambda fd: (False, True, False), 8) == \
+    assert ep2.poll(0, lambda fd: (True, False, False, 0), 8) == []
+    assert ep2.poll(0, lambda fd: (False, True, False, None), 8) == \
         [(EPOLLOUT, 7)]
 
 
@@ -105,7 +105,7 @@ def test_epoll_mod_replaces_data():
     ep = EpollInstance()
     ep.ctl(EPOLL_CTL_ADD, 2, EPOLLIN, 111)
     ep.ctl(EPOLL_CTL_MOD, 2, EPOLLIN, 222)
-    ready = ep.poll(0, lambda fd: (True, False, False), 8)
+    ready = ep.poll(0, lambda fd: (True, False, False, 0), 8)
     assert ready == [(EPOLLIN, 222)]
 
 
@@ -180,15 +180,6 @@ def test_epoll_epollout_interest_never_disarms():
     ep.ctl(EPOLL_CTL_ADD, 4, EPOLLIN | EPOLLOUT, 4, channel=_FakeChannel())
     ep.poll(0, lambda fd: _IDLE, 16)
     assert ep.armed_fds == [4]
-
-
-def test_epoll_three_tuple_probe_keeps_legacy_interest_scan():
-    # 3-tuple probes carry no in-flight info: never disarm (direct
-    # EpollInstance users keep O(interest) semantics unchanged)
-    ep = EpollInstance()
-    ep.ctl(EPOLL_CTL_ADD, 5, EPOLLIN, 5)
-    ep.poll(0, lambda fd: (False, False, False), 16)
-    assert ep.armed_fds == [5]
 
 
 def test_epoll_rotation_is_fair_over_armed_list():

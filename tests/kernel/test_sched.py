@@ -384,19 +384,6 @@ def test_idle_hooks_chain_and_all_run(kernel, sched):
     assert ran["probe"] >= 1         # the first hook still ran
 
 
-def test_legacy_idle_hook_property_appends_and_clears(kernel, sched):
-    first, second = (lambda: False), (lambda: False)
-    sched.idle_hook = first
-    sched.idle_hook = second         # old clobbering API now chains
-    assert sched.idle_hooks == [first, second]
-    assert sched.idle_hook is first
-    sched.idle_hook = second         # re-assignment stays idempotent
-    assert sched.idle_hooks == [first, second]
-    sched.idle_hook = None
-    assert sched.idle_hooks == []
-    assert sched.idle_hook is None
-
-
 def test_remove_idle_hook(kernel, sched):
     hook = lambda: False
     sched.add_idle_hook(hook)

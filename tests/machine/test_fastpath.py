@@ -1,6 +1,10 @@
 """Unit tests for the interpreter fast path: the per-page decoded
 instruction cache, the software TLB, the observer-free MMU fast paths,
-and the precise/fast interpreter contract."""
+and the precise/fast interpreter contract — including a differential
+section that runs edge-case and randomized programs on both paths and
+compares every observable end state."""
+
+import random
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.machine.mpk import pkru_disable_access
 from repro.machine.registers import RegisterFile
 
 CODE_BASE = 0x40_0000
+DATA_BASE = 0x50_0000
 STACK_TOP = 0x7000_0000
 
 
@@ -40,7 +45,7 @@ def make_machine(assembler, code_prot=PROT_RX, stack_pages=4, data_pages=2):
         page.data[:len(chunk)] = chunk
     space.mmap(STACK_TOP - stack_pages * PAGE_SIZE, stack_pages * PAGE_SIZE,
                prot=PROT_RW, tag="stack")
-    data_base = space.mmap(None, data_pages * PAGE_SIZE, tag="data")
+    data_base = space.mmap(DATA_BASE, data_pages * PAGE_SIZE, tag="data")
     cpu = CPU(space)
     state = ExecState(RegisterFile())
     state.regs.rip = CODE_BASE
@@ -66,6 +71,42 @@ def counting_loop(n=50):
     a.jne("loop")
     a.ret()
     return a
+
+
+def observables(cpu, state):
+    return {
+        "registers": state.regs.snapshot(),
+        "virtual_ns": cpu.counter.total_ns,
+        "instructions": cpu.instructions_retired,
+        "data": bytes(cpu.space.page_at(DATA_BASE).data),
+    }
+
+
+def differential(assembler, handler=None, until_rip=HOST_RETURN_ADDRESS,
+                 fault=None, **machine_kwargs):
+    """Run the program on the fast path, then on the precise path (which
+    defines the machine's semantics), and assert both end states match
+    bit for bit.  ``handler(cpu)`` builds the SYSCALL handler; ``fault``
+    is the exception the run must raise (``None``: it must reach
+    ``until_rip``).  Returns the fast CPU and its end state."""
+    results = []
+    for precise in (False, True):
+        cpu, state, _ = make_machine(assembler, **machine_kwargs)
+        cpu.force_slow_path = precise
+        if handler is not None:
+            cpu.syscall_handler = handler(cpu)
+        cpu._push(state, HOST_RETURN_ADDRESS)
+        if fault is None:
+            assert cpu.run(state, until_rip=until_rip) == "host-return"
+        else:
+            with pytest.raises(fault):
+                cpu.run(state, until_rip=until_rip)
+        results.append((cpu, observables(cpu, state)))
+    (fast_cpu, fast_obs), (precise_cpu, precise_obs) = results
+    assert fast_obs == precise_obs
+    assert fast_cpu.fast_insns > 0
+    assert precise_cpu.fast_insns == 0
+    return fast_cpu, fast_obs
 
 
 # -- decoded-instruction cache -----------------------------------------------
@@ -116,8 +157,8 @@ def test_guest_store_invalidates_decode_cache():
     a.jmp("target")
     a.label("done")
     a.ret()
-    cpu, state, _ = make_machine(a, code_prot=PROT_RWX)
-    assert run_to_host(cpu, state) == 999
+    _, end = differential(a, code_prot=PROT_RWX)
+    assert end["registers"]["rax"] == 999
 
 
 def test_syscall_mprotect_wx_flip_faults_fetch():
@@ -295,18 +336,8 @@ def test_find_free_skips_occupied_runs():
 # -- fast/slow interpreter contract ------------------------------------------
 
 
-def _snapshot(cpu, state):
-    return (state.regs.snapshot(), cpu.counter.total_ns,
-            cpu.instructions_retired)
-
-
 def test_forced_slow_path_matches_fast_path():
-    fast_cpu, fast_state, _ = make_machine(counting_loop(200))
-    slow_cpu, slow_state, _ = make_machine(counting_loop(200))
-    slow_cpu.force_slow_path = True
-    run_to_host(fast_cpu, fast_state)
-    run_to_host(slow_cpu, slow_state)
-    assert _snapshot(fast_cpu, fast_state) == _snapshot(slow_cpu, slow_state)
+    differential(counting_loop(200))
 
 
 def test_trace_hook_forces_precise_and_sees_every_instruction():
@@ -361,20 +392,10 @@ def test_batched_charging_flushed_before_syscall_handler():
     a.mov_ri("rbx", 2)
     a.syscall()
     a.ret()
-    observed = {}
-
-    cpu, state, _ = make_machine(a)
-    cpu.syscall_handler = lambda st: observed.setdefault(
-        "fast", (cpu.counter.total_ns, cpu.instructions_retired))
-    run_to_host(cpu, state)
-
-    cpu2, state2, _ = make_machine(a)
-    cpu2.force_slow_path = True
-    cpu2.syscall_handler = lambda st: observed.setdefault(
-        "slow", (cpu2.counter.total_ns, cpu2.instructions_retired))
-    run_to_host(cpu2, state2)
-
-    assert observed["fast"] == observed["slow"]
+    observed = []
+    differential(a, handler=lambda cpu: lambda state: observed.append(
+        (cpu.counter.total_ns, cpu.instructions_retired)))
+    assert observed[0] == observed[1]
 
 
 def test_fault_still_charges_pending_instructions():
@@ -384,16 +405,7 @@ def test_fault_still_charges_pending_instructions():
     a.mov_ri("rax", 1)
     a.mov_ri("rdi", 0xDEAD_0000)
     a.load("rbx", "rdi", 0)        # faults: unmapped
-    cpu, state, _ = make_machine(a)
-    with pytest.raises(SegmentationFault):
-        cpu.run(state)
-    cpu2, state2, _ = make_machine(a)
-    cpu2.force_slow_path = True
-    with pytest.raises(SegmentationFault):
-        cpu2.run(state2)
-    assert cpu.counter.total_ns == cpu2.counter.total_ns
-    assert cpu.instructions_retired == cpu2.instructions_retired
-    assert state.regs.snapshot() == state2.regs.snapshot()
+    differential(a, fault=SegmentationFault)
 
 
 def test_max_steps_exact_on_fast_path():
@@ -406,3 +418,267 @@ def test_max_steps_exact_on_fast_path():
     slow_cpu.run(slow_state, max_steps=37)
     assert state.regs.snapshot() == slow_state.regs.snapshot()
     assert cpu.counter.total_ns == slow_cpu.counter.total_ns
+
+
+# -- fast ≡ precise on loops -------------------------------------------------
+
+
+def test_memory_loop_matches_precise():
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    a.mov_ri("rax", 0x1234_5678)
+    a.mov_ri("rbx", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.mov_rr("rsi", "rcx")
+    a.and_ri("rsi", 255)
+    a.shl_ri("rsi", 3)
+    a.add_rr("rsi", "r9")
+    a.store("rsi", "rax", 0)
+    a.load("rdx", "rsi", 0)
+    a.store8("rsi", "rcx", 7)
+    a.load8("rdi", "rsi", 7)
+    a.xor_rr("rbx", "rdx")
+    a.add_rr("rbx", "rdi")
+    a.mul_rr("rax", "rbx")
+    a.add_ri("rax", 99991)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 150)
+    a.jne("loop")
+    a.mov_rr("rax", "rbx")
+    a.ret()
+    differential(a)
+
+
+def test_call_ret_loop_matches_precise():
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("outer")
+    a.call("func")
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 40)
+    a.jne("outer")
+    a.ret()
+    a.label("func")
+    a.mov_ri("r9", 0)
+    a.label("inner")
+    a.add_ri("rax", 7)
+    a.add_ri("r9", 1)
+    a.cmp_ri("r9", 10)
+    a.jne("inner")
+    a.ret()
+    _, end = differential(a)
+    assert end["registers"]["rax"] == 7 * 10 * 40
+
+
+def test_hlt_exits_identically():
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.add_ri("rax", 3)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop")
+    a.hlt()
+    differential(a, fault=CpuExit)
+
+
+def test_fault_mid_loop_restores_precise_state():
+    """A store that walks off the mapped data region faults mid-loop;
+    registers, rip, charges and retired counts must match the precise
+    path exactly."""
+    a = Assembler()
+    a.mov_ri("rsi", DATA_BASE)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.store("rsi", "rcx", 0)
+    a.add_ri("rsi", 8)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 5000)
+    a.jne("loop")
+    a.ret()
+    _, end = differential(a, fault=SegmentationFault, data_pages=1)
+    assert end["registers"]["rcx"] == PAGE_SIZE // 8
+
+
+def test_until_rip_inside_loop_is_exact():
+    """The stop address is a loop-body instruction first reached on
+    iteration 70: both paths stop there with identical state."""
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.add_rr("rax", "rcx")
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 70)
+    a.jne("next")
+    a.label("stop")
+    a.add_ri("rax", 1)
+    a.label("next")
+    a.cmp_ri("rcx", 90)
+    a.jne("loop")
+    a.ret()
+    _, end = differential(a, until_rip=a.labels(CODE_BASE)["stop"])
+    assert end["registers"]["rcx"] == 70
+
+
+@pytest.mark.parametrize("kind, fault, rax", [
+    ("mprotect", ExecuteFault, None),
+    ("pkey_mprotect", None, 60),
+    ("munmap", ExecuteFault, None),
+    ("privileged_write", None, 10 + 3 * 50),
+], ids=["mprotect", "pkey_mprotect", "munmap", "privileged_write"])
+def test_code_change_from_syscall_mid_loop(kind, fault, rax):
+    """On iteration 10 of 60, a syscall remaps, reprotects or rewrites
+    the running code page; the fast path's cached text page and decoded
+    instructions must not outlive the change."""
+    a = Assembler()
+    a.mov_ri("rbx", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.label("patch")
+    a.add_ri("rbx", 1)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 10)
+    a.jne("next")
+    a.syscall()
+    a.label("next")
+    a.cmp_ri("rcx", 60)
+    a.jne("loop")
+    a.mov_rr("rax", "rbx")
+    a.ret()
+    labels = a.labels(CODE_BASE)
+    patched = Instruction(Op.ADD_RI, "rbx", imm=3).encode()
+
+    def handler(cpu):
+        space = cpu.space
+
+        def on_syscall(state):
+            if kind == "mprotect":          # W^X flip: fetch must fault
+                space.mprotect(CODE_BASE, PAGE_SIZE, PROT_RW)
+            elif kind == "pkey_mprotect":   # XoM: pkeys never gate fetch
+                space.pkey_mprotect(CODE_BASE, PAGE_SIZE, PROT_RX, 1)
+                state.pkru = pkru_disable_access(0, pkey=1)
+            elif kind == "munmap":
+                space.munmap(CODE_BASE, PAGE_SIZE)
+            else:                           # kernel-mode code patch
+                space.write(labels["patch"], patched, privileged=True)
+        return on_syscall
+
+    _, end = differential(a, handler=handler, fault=fault)
+    if fault is None:
+        assert end["registers"]["rax"] == rax
+    else:
+        assert end["registers"]["rip"] == labels["next"]
+
+
+def test_observer_attached_from_syscall_mid_run():
+    """A syscall handler that attaches a memory observer demotes the
+    rest of the run to the precise path; the architectural end state and
+    the observed access stream are unchanged."""
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop1")
+    a.store("r9", "rcx", 0)
+    a.add_ri("rax", 5)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop1")
+    a.syscall()
+    a.mov_ri("rcx", 0)
+    a.label("loop2")
+    a.store("r9", "rax", 8)
+    a.add_ri("rax", 1)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop2")
+    a.ret()
+    streams, fast_at_syscall = [], []
+
+    def handler(cpu):
+        events = []
+        streams.append(events)
+
+        def attach(state):
+            fast_at_syscall.append(cpu.fast_insns)
+            cpu.space.add_observer(
+                lambda op, addr, size, value: events.append((op, addr, size)))
+        return attach
+
+    fast_cpu, _ = differential(a, handler=handler)
+    assert streams[0] == streams[1]
+    assert streams[0]                       # loop2 stores were observed
+    # before the syscall the fast path ran; after it, nothing more did
+    assert fast_at_syscall[0] == fast_cpu.fast_insns > 0
+    assert fast_cpu.precise_insns > 0
+
+
+# -- randomized differential fuzz --------------------------------------------
+
+_BODY_REGS = ("rax", "rbx", "rdx", "rsi", "rdi", "r8", "r10", "r11")
+
+
+def _random_program(rng):
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    for reg in _BODY_REGS:
+        a.mov_ri(reg, rng.getrandbits(63))
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    skip = 0
+    for _ in range(rng.randrange(6, 15)):
+        pick = rng.random()
+        dst = rng.choice(_BODY_REGS)
+        src = rng.choice(_BODY_REGS)
+        if pick < 0.30:
+            getattr(a, rng.choice(
+                ("add_rr", "sub_rr", "and_rr", "or_rr", "xor_rr",
+                 "mul_rr")))(dst, src)
+        elif pick < 0.50:
+            getattr(a, rng.choice(
+                ("add_ri", "sub_ri", "and_ri", "or_ri", "xor_ri")))(
+                    dst, rng.getrandbits(rng.choice((8, 32, 63))))
+        elif pick < 0.60:
+            getattr(a, rng.choice(("shl_ri", "shr_ri")))(
+                dst, rng.randrange(1, 64))
+        elif pick < 0.65:
+            a.not_r(dst)
+        elif pick < 0.75:
+            offset = rng.randrange(0, PAGE_SIZE - 8)
+            if rng.random() < 0.5:
+                a.store8("r9", src, offset)
+                a.load8(dst, "r9", offset)
+            else:
+                aligned = offset & ~7
+                a.store("r9", src, aligned)
+                a.load(dst, "r9", aligned)
+        elif pick < 0.85:
+            if rng.random() < 0.5:
+                a.cmp_rr(dst, src)
+            else:
+                a.cmp_ri(dst, rng.getrandbits(16))
+        elif pick < 0.92:
+            a.push_r(src)
+            a.pop_r(dst)
+        else:
+            label = f"skip{skip}"
+            skip += 1
+            a.test_rr(dst, src)
+            a.je(label)
+            a.add_ri(dst, 1)
+            a.label(label)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 40)
+    a.jne("loop")
+    a.ret()
+    return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomized_programs_match_precise(seed):
+    rng = random.Random(f"interp-fuzz-{seed}")
+    differential(_random_program(rng))

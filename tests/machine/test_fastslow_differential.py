@@ -1,11 +1,9 @@
-"""Differential three-tier interpreter tests (ISSUE acceptance
-criterion): the jit tier (superblock translation), the fast path
-(decoded-page cache + TLB + batched charging) and the forced precise
-path must agree bit-for-bit on every observable — register state,
-virtual-cycle totals, instructions retired, libc call counts, alarm PCs,
-and full record/replay traces — across the real workloads: the
-protected minx server under traffic, the CVE-2013-2028 exploit, and
-nbench.
+"""Differential interpreter tests: the fast path (decoded-page cache +
+TLB + batched charging) and the forced precise path must agree
+bit-for-bit on every observable — register state, virtual-cycle totals,
+instructions retired, libc call counts, alarm PCs, and full record/replay
+traces — across the real workloads: the protected minx server under
+traffic, the CVE-2013-2028 exploit, and nbench.
 
 The only footer field allowed to differ across tiers is ``cpu_tiers``
 (the per-tier execution-count split — that it differs is the point);
@@ -24,16 +22,13 @@ from repro.workloads import ApacheBench
 
 PROTECT = "minx_http_process_request_line"
 SEED = "fast-slow-diff"
-TIERS = ("precise", "fast", "jit")
+TIERS = ("precise", "fast")
 
 
 @pytest.fixture(params=list(TIERS))
 def path(request, monkeypatch):
     if request.param == "precise":
         monkeypatch.setattr(CPU, "force_slow_path", True)
-        monkeypatch.setattr(CPU, "jit_enabled", False)
-    elif request.param == "fast":
-        monkeypatch.setattr(CPU, "jit_enabled", False)
     return request.param
 
 
@@ -100,17 +95,16 @@ def test_recorded_trace_bit_identical_under_all_tiers(path):
     ApacheBench(kernel, server).run(2)
     trace = recorder.finish()
     tiers = trace.footer.pop("cpu_tiers")
-    # the tier split itself must match the pinned interpreter mode.
-    # (minx guest code is loop-light — its string work lives in the
-    # host-emulated libc — so nothing gets hot enough to promote here;
-    # jit-active determinism is proven by tests/machine/test_jit.py)
+    # the tier split itself must match the pinned interpreter mode
+    assert set(tiers) == {"precise_insns", "fast_insns",
+                          "instructions_retired", "tlb_fills",
+                          "tlb_hit_rate"}
+    assert tiers["precise_insns"] + tiers["fast_insns"] == \
+        tiers["instructions_retired"]
     if path == "precise":
         assert tiers["fast_insns"] == 0
-        assert tiers["jit_insns"] == 0
     else:
         assert tiers["fast_insns"] > 0
-    if path != "jit":
-        assert tiers["jit_insns"] == 0
     _TRACES[path] = (trace.dumps(), trace.footer)
     if len(_TRACES) == len(TIERS):
         for tier in TIERS:
