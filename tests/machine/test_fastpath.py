@@ -524,6 +524,38 @@ def test_until_rip_inside_loop_is_exact():
     assert end["registers"]["rcx"] == 70
 
 
+def test_self_modifying_code_inside_loop():
+    """A store in the body of a hot loop patches an instruction of the
+    same body on every iteration: the decoded copy cached on the first
+    pass must not survive the write, and the patched semantics must
+    match the precise path."""
+    old = Instruction(Op.ADD_RI, "rbx", imm=1).encode()
+    new = Instruction(Op.ADD_RI, "rbx", imm=3).encode()
+    assert old != new, "patch must change the encoding"
+    words = [int.from_bytes(new[i:i + 8], "little")
+             for i in range(0, INSTR_SIZE, 8)]
+
+    a = Assembler()
+    a.mov_ri("rbx", 0)
+    a.mov_ri("rcx", 0)
+    a.lea("r9", "patch")
+    for reg, word in zip(("r10", "r11"), words):
+        a.mov_ri(reg, word)
+    a.label("loop")
+    a.label("patch")
+    a.add_ri("rbx", 1)              # becomes add_ri rbx, 3 on iteration 1
+    for i, reg in enumerate(("r10", "r11")):
+        a.store("r9", reg, i * 8)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 60)
+    a.jne("loop")
+    a.mov_rr("rax", "rbx")
+    a.ret()
+    _, end = differential(a, code_prot=PROT_RWX)
+    # iteration 1 ran the old instruction, the rest the patched one
+    assert end["registers"]["rax"] == 1 + 3 * 59
+
+
 @pytest.mark.parametrize("kind, fault, rax", [
     ("mprotect", ExecuteFault, None),
     ("pkey_mprotect", None, 60),
