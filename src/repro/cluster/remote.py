@@ -57,7 +57,12 @@ from repro.cluster.host import Cluster, ClusterHost, WireEndpoint
 from repro.core.divergence import CallRecord, DivergenceReport, compare_calls
 from repro.core.ipc import LEADER, CallEvent, LibcResult
 from repro.core.monitor import SmvxMonitor
-from repro.errors import MvxDivergence, MvxSetupError, MvxStateError
+from repro.errors import (
+    MachineFault,
+    MvxDivergence,
+    MvxSetupError,
+    MvxStateError,
+)
 from repro.libc.categories import BufSize, Category, EmulationSpec, spec_for
 from repro.machine.memory import PAGE_SIZE, PROT_WRITE
 from repro.process.context import to_signed
@@ -483,7 +488,12 @@ class RemoteRegionRunner:
                 event.seq, event.retval, event.errno,
                 execute_locally=True))
             return
-        follower_ret, copied = self._emulate(spec, event, follower_record)
+        try:
+            follower_ret, copied = self._emulate(spec, event,
+                                                 follower_record)
+        except MachineFault as fault:
+            raise MvxDivergence(self.monitor.emulation_fault(
+                event.seq, event.name, fault)) from fault
         channel.leader_publish(LibcResult(
             event.seq, follower_ret, event.errno,
             buffers_copied=tuple(copied)))

@@ -428,26 +428,23 @@ class SmvxMonitor:
         ``DirtyTracker`` never records them — without this mirror a
         drain flag written into the leader's globals leaves the follower
         copies stale, and the very next protected region diverges on the
-        drain branch (CALL_NAME at the first call past it).  Returns the
-        number of copies written; aligned-strategy variants share the
-        leader's view and need none."""
+        drain branch (CALL_NAME at the first call past it).  Each copy is
+        written through its variant's own view: a shifted copy lives in
+        pages both views share, while an aligned follower keeps private
+        pages at the leader's addresses that only its view reaches.
+        Returns the number of copies written."""
         if self.target is None:
             return 0
-        base = self.target.symbol_address(symbol)
-        views = []
+        variants = []
         if self.region is not None:
-            views.append(self.region.variant.loaded)
-        views.extend(cached.variant.loaded
-                     for cached in self._cached_variants.values())
-        written = 0
-        for view in views:
-            addr = view.symbol_address(symbol)
-            if addr == base:
-                continue
-            self.process.space.write_word(addr + offset, value,
-                                          privileged=True)
-            written += 1
-        return written
+            variants.append(self.region.variant)
+        variants.extend(cached.variant
+                        for cached in self._cached_variants.values())
+        for variant in variants:
+            addr = variant.loaded.symbol_address(symbol)
+            variant.thread.space.write_word(addr + offset, value,
+                                            privileged=True)
+        return len(variants)
 
     # ------------------------------------------------------------------
     # the gate: every intercepted libc call lands here
@@ -558,14 +555,7 @@ class SmvxMonitor:
             follower_ret, copied = self._emulate_for_follower(
                 spec, retval, record, follower_record)
         except MachineFault as fault:
-            # the follower's memory cannot take the result (its buffer
-            # lies in an unmapped page): a follower fault, reported now
-            # rather than left for the follower to wait out
-            report = DivergenceReport(
-                DivergenceKind.FOLLOWER_FAULT, record.seq, name,
-                f"emulating {name} into the follower: "
-                f"{type(fault).__name__}: {fault}",
-                task_id=region.variant.thread.tid, guest_pc=fault.address)
+            report = self.emulation_fault(record.seq, name, fault)
             region.channel.leader_abort(report)
             self._teardown_region(alarm=report)
             raise MvxDivergence(report)
@@ -573,6 +563,18 @@ class SmvxMonitor:
             record.seq, follower_ret, thread.errno,
             buffers_copied=tuple(copied)))
         return retval
+
+    def emulation_fault(self, seq: int, name: str,
+                        fault: MachineFault) -> DivergenceReport:
+        """The alarm for a fault while writing call ``seq``'s result into
+        the follower's memory (its buffer lies in an unmapped page): a
+        follower fault, reported at the call rather than left for the
+        follower to wait out."""
+        return DivergenceReport(
+            DivergenceKind.FOLLOWER_FAULT, seq, name,
+            f"emulating {name} into the follower: "
+            f"{type(fault).__name__}: {fault}",
+            task_id=self.region.variant.thread.tid, guest_pc=fault.address)
 
     def _emulate_for_follower(self, spec: EmulationSpec, retval: int,
                               leader: CallRecord, follower: CallRecord

@@ -18,10 +18,16 @@ is demonstrated in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.machine.costs import CostModel
-from repro.machine.memory import AddressSpace, WORD_SIZE
+from repro.machine.memory import (
+    PAGE_SIZE,
+    WORD_SIZE,
+    AddressSpace,
+    page_align_down,
+)
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,16 @@ class RelocationReport:
         return None
 
 
+def _page_chunks(start: int, end: int) -> Iterator[Tuple[int, int]]:
+    """``(address, slots)`` runs covering ``[start, end)`` that stop at
+    page boundaries (an unaligned ``start`` faults on its first run)."""
+    address = start
+    while address < end:
+        chunk_end = min(end, page_align_down(address) + PAGE_SIZE)
+        yield address, (chunk_end - address) // WORD_SIZE
+        address = chunk_end
+
+
 class PointerRelocator:
     """Scans follower regions and rewrites old-range pointers."""
 
@@ -99,20 +115,42 @@ class PointerRelocator:
         ``slot_offsets`` restricts the walk to statically known pointer
         slots (the alias-analysis fast path); otherwise every aligned slot
         is visited.
+
+        Slots are read a chunk at a time: the rest of the page on a full
+        walk of a space no memory observer watches, one slot otherwise
+        (an observer sees each slot's 8-byte read, then its rewrite, as
+        a slot-by-slot walk would issue them).  Zero words are dropped
+        at C speed when zero is no pointer, and only words inside the old
+        ranges' envelope reach :meth:`classify`.  The accesses counted,
+        the words rewritten, the faults raised and the time charged are
+        those of the slot-by-slot walk.
         """
         stats = ScanStats(region)
-        if slot_offsets is None:
-            offsets = range(0, size - size % WORD_SIZE, WORD_SIZE)
+        space = self.space
+        length = size - size % WORD_SIZE
+        if slot_offsets is None and not space._observers:
+            chunks = _page_chunks(start, start + length)
         else:
-            offsets = sorted(o for o in slot_offsets if o + WORD_SIZE <= size)
-        for offset in offsets:
-            address = start + offset
-            value = self.space.read_word(address, privileged=True)
-            stats.slots_scanned += 1
-            if self.classify(value) is not None:
-                self.space.write_word(address, value + self.shift,
-                                      privileged=True)
-                stats.pointers_found += 1
+            if slot_offsets is None:
+                offsets = range(0, length, WORD_SIZE)
+            else:
+                offsets = sorted(o for o in slot_offsets
+                                 if o + WORD_SIZE <= size)
+            chunks = ((start + offset, 1) for offset in offsets)
+        low = min((r.start for r in self.old_ranges), default=0)
+        high = max((r.end for r in self.old_ranges), default=0)
+        skip_zero = self.classify(0) is None
+        for address, count in chunks:
+            words = space.read_words(address, count, privileged=True)
+            stats.slots_scanned += count
+            indices = compress(range(count), words) if skip_zero \
+                else range(count)
+            for index in indices:
+                value = words[index]
+                if low <= value < high and self.classify(value) is not None:
+                    space.write_word(address + WORD_SIZE * index,
+                                     value + self.shift, privileged=True)
+                    stats.pointers_found += 1
         stats.time_ns = (stats.slots_scanned * slot_cost_ns
                          + stats.pointers_found * self.costs.pointer_fixup_ns)
         self._charge(stats.time_ns, f"pointer-scan:{region}")

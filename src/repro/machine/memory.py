@@ -15,11 +15,11 @@ attach here.  When no observer is attached the MMU takes fast paths: a
 small software TLB memoizes ``(page_index, pkru) -> Page`` per access
 direction (flushed whenever any mapping, permission, or protection key
 changes — :attr:`AddressSpace.mapping_epoch` counts those changes), and
-``read_word``/``write_word`` unpack directly from the page's backing
-``bytearray`` without intermediate copies.  TLB hits re-validate the
-cached page's ``prot``/``pkey`` so pages *shared* between address spaces
-(``share_into``) stay correct even when another space's
-``pkey_mprotect`` mutates the shared :class:`Page` object.
+``read_word``/``write_word``/``read_words`` unpack directly from the
+page's backing ``bytearray`` without intermediate copies.  TLB hits
+re-validate the cached page's ``prot``/``pkey`` so pages *shared*
+between address spaces (``share_into``) stay correct even when another
+space's ``pkey_mprotect`` mutates the shared :class:`Page` object.
 
 Each page also carries the interpreter's decoded-instruction cache
 (:attr:`Page.decode_cache`, owned by :mod:`repro.machine.cpu`); every
@@ -31,6 +31,7 @@ dirty-page refresh) must call :meth:`Page.invalidate_decode`.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
@@ -440,6 +441,29 @@ class AddressSpace:
         page = self._lookup_read(addr, pkru, privileged)
         return _WORD_STRUCT.unpack_from(page.data, addr % PAGE_SIZE)[0]
 
+    def read_words(self, addr: int, count: int, pkru: int = PKRU_ALLOW_ALL,
+                   privileged: bool = False) -> Tuple[int, ...]:
+        """Read ``count`` aligned words from ``addr`` on, all in one page.
+
+        The accesses are those of ``count`` :meth:`read_word` calls: one
+        counted per word (only the first, if the page faults).  With an
+        observer attached it *is* those calls, so each word reaches the
+        observer as its own 8-byte read; otherwise one unpack serves all.
+        """
+        if addr % WORD_SIZE:
+            raise AlignmentFault(f"unaligned word read at {addr:#x}", addr)
+        offset = addr % PAGE_SIZE
+        if not 0 < count <= (PAGE_SIZE - offset) // WORD_SIZE:
+            raise ValueError(f"{count} words at {addr:#x} do not fit "
+                             f"one page")
+        if self._observers:
+            return tuple(self.read_word(addr + WORD_SIZE * i, pkru,
+                                        privileged) for i in range(count))
+        self.access_count += 1
+        page = self._lookup_read(addr, pkru, privileged)
+        self.access_count += count - 1
+        return struct.unpack_from(f"<{count}Q", page.data, offset)
+
     def write_word(self, addr: int, value: int, pkru: int = PKRU_ALLOW_ALL,
                    privileged: bool = False, aligned: bool = True) -> None:
         if addr % WORD_SIZE:
@@ -510,18 +534,19 @@ class AddressSpace:
         Page objects are aliased, not copied — a write through either
         space is visible in both, like a shared-memory mapping.  Pages
         whose base address falls in an ``exclude`` range ``(start, end)``
-        are left unmapped in ``other``; accessing them there faults.  This
-        is how the sMVX follower gets a view without the leader's image
-        and heap (non-overlapping address spaces, paper §3.1).
+        are not installed in ``other`` (pages ``other`` already holds
+        there stay); accessing an unmapped one faults.  This is how the
+        sMVX follower gets a view without the leader's image and heap
+        (non-overlapping address spaces, paper §3.1).  Returns the number
+        of pages shared.
         """
-        exclude = exclude or []
-        shared = 0
-        for index, page in self._pages.items():
-            base = index * PAGE_SIZE
-            if any(start <= base < end for start, end in exclude):
-                continue
-            other._pages[index] = page
-            shared += 1
+        indices = sorted(self._pages)
+        for start, end in exclude or ():
+            # the page indices whose base lies in [start, end)
+            del indices[bisect_left(indices, -(-start // PAGE_SIZE)):
+                        bisect_left(indices, -(-end // PAGE_SIZE))]
+        pages = self._pages
+        other._pages.update((index, pages[index]) for index in indices)
         other._mmap_hint = max(other._mmap_hint, self._mmap_hint)
         other._mapping_changed()
-        return shared
+        return len(indices)

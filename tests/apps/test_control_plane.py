@@ -76,8 +76,17 @@ def test_restart_budget_is_per_slot_and_final(kernel):
     server.shutdown()
 
 
-def test_graceful_reload_drops_no_requests(kernel):
-    server = LittledServer(kernel, workers=2)
+@pytest.mark.parametrize("variant", [
+    {},
+    {"smvx": True, "protect": "server_main_loop"},
+    {"smvx": True, "protect": "server_main_loop",
+     "variant_strategy": "aligned"},
+], ids=["vanilla", "smvx-shift", "smvx-aligned"])
+def test_graceful_reload_drops_no_requests(kernel, variant):
+    """The drain flag reaches every follower copy of the worker globals:
+    the shifted copy in pages both views share and the aligned follower's
+    private copy, so leader and follower take the drain branch together."""
+    server = LittledServer(kernel, workers=2, **variant)
     server.start()
     supervisor = Supervisor(
         server,
@@ -95,6 +104,7 @@ def test_graceful_reload_drops_no_requests(kernel):
     for worker in server.retired:
         assert worker.task.done
     assert sum(w.served_snapshot for w in server.workers) > 0
+    assert server.alarms.alarms == []
     supervisor.stop()
     server.shutdown()
 

@@ -201,6 +201,31 @@ def test_merge_respects_causality():
             assert sends[(link, frame)] < position
 
 
+def test_mid_subtree_region_reports_remote_emulation_fault_at_once():
+    """Protecting ``minx_http_handler`` leaves the follower's copy of the
+    discard buffer in a follower stack page that was never mapped.  The
+    mirror's runner faults writing the leader's ``recv`` bytes into it:
+    that is a follower fault reported at the call on both hosts, not a
+    lockstep stall the watchdog ends."""
+    from repro.attacks import run_exploit
+    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
+
+    run = build_minx_cluster(protect="minx_http_handler")
+    outcome = run_exploit(run.leader)
+    run.finish()
+    assert outcome.attack_detected_and_blocked
+    assert outcome.alarm_count == 1
+    for server in (run.leader, run.mirror):
+        report, = server.alarms.alarms
+        assert report.kind is DivergenceKind.FOLLOWER_FAULT
+        assert report.libc_name == "recv"
+        assert report.guest_pc == 0x7FFD_FFFE_F000   # the unmapped page
+        assert f"{report.guest_pc:#x}" in report.detail
+        assert "lockstep timeout" not in report.detail
+    for host in (0, 1):
+        assert not run.cluster.host(host).kernel.vfs.is_dir(VICTIM_DIRECTORY)
+
+
 def test_distributed_cve_recorded_alarm_in_leader_trace():
     session = run_distributed_cve(record=True)
     leader_trace = session["traces"][0]

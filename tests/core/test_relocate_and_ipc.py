@@ -17,9 +17,10 @@ from repro.core.ipc import (
     LockstepChannel,
     LockstepTimeout,
 )
-from repro.core.relocate import OldRange, PointerRelocator
-from repro.errors import MvxDivergence
+from repro.core.relocate import OldRange, PointerRelocator, ScanStats
+from repro.errors import AlignmentFault, MvxDivergence, SegmentationFault
 from repro.machine import AddressSpace, PAGE_SIZE
+from repro.machine.memory import WORD_SIZE
 from repro.machine.costs import DEFAULT_COSTS
 
 SHIFT = 0x1000_0000
@@ -118,6 +119,143 @@ def test_relocation_idempotent_on_out_of_range(values):
     relocator.scan_data_region(base, 8 * len(safe[:32]), "fuzz")
     for i, value in enumerate(safe[:32]):
         assert space.read_word(base + 8 * i, privileged=True) == value
+
+
+# -- the page-chunk scan against the slot-at-a-time walk ---------------------------
+
+def reference_scan_region(relocator, start, size, region, slot_cost_ns,
+                          slot_offsets=None):
+    """``scan_region`` as a slot-at-a-time walk: one word read, one
+    classify and, on a hit, one rewrite per slot.  The page-chunk scan
+    must match it in every observable."""
+    stats = ScanStats(region)
+    if slot_offsets is None:
+        offsets = range(0, size - size % WORD_SIZE, WORD_SIZE)
+    else:
+        offsets = sorted(o for o in slot_offsets if o + WORD_SIZE <= size)
+    for offset in offsets:
+        address = start + offset
+        value = relocator.space.read_word(address, privileged=True)
+        stats.slots_scanned += 1
+        if relocator.classify(value) is not None:
+            relocator.space.write_word(address, value + relocator.shift,
+                                       privileged=True)
+            stats.pointers_found += 1
+    stats.time_ns = (stats.slots_scanned * slot_cost_ns
+                     + stats.pointers_found
+                     * relocator.costs.pointer_fixup_ns)
+    relocator._charge(stats.time_ns, f"pointer-scan:{region}")
+    return stats
+
+
+SCAN_BASE = 0x40_0000
+SCAN_PAGES = 4
+MASK64 = (1 << 64) - 1
+
+
+def scan_outcome(scan, ranges, words, start, size, slot_offsets=None,
+                 mapped=range(SCAN_PAGES), observe=False):
+    """Run ``scan`` on a fresh space; return everything it can change."""
+    space = AddressSpace("scan")
+    for page in mapped:
+        space.mmap(SCAN_BASE + page * PAGE_SIZE, PAGE_SIZE)
+    for slot, value in words.items():
+        if (slot * WORD_SIZE) // PAGE_SIZE in mapped:
+            space.write_word(SCAN_BASE + slot * WORD_SIZE, value,
+                             privileged=True)
+    events = []
+    if observe:
+        space.add_observer(
+            lambda op, addr, n, value: events.append((op, addr, n, value)))
+    charges = []
+    relocator = PointerRelocator(
+        space, [OldRange(s, e, f"r{i}") for i, (s, e) in enumerate(ranges)],
+        SHIFT, DEFAULT_COSTS,
+        charge=lambda ns, category: charges.append((ns, category)))
+    before = space.access_count
+    try:
+        result = scan(relocator, start, size, "region",
+                      DEFAULT_COSTS.data_scan_slot_ns, slot_offsets)
+    except (AlignmentFault, SegmentationFault) as fault:
+        result = (type(fault), str(fault), fault.address)
+    memory = {base: bytes(page.data) for base, page in space.mapped_pages()}
+    return result, memory, space.access_count - before, charges, events
+
+
+def scan_both(*args, **kwargs):
+    def real(relocator, *scan_args):
+        return relocator.scan_region(*scan_args)
+    expected = scan_outcome(reference_scan_region, *args, **kwargs)
+    assert scan_outcome(real, *args, **kwargs) == expected
+    return expected
+
+
+@st.composite
+def scan_cases(draw):
+    ranges = [(start, start + draw(st.integers(0, 1 << 20)))
+              for start in (draw(st.integers(0, 1 << 47)),
+                            draw(st.integers(0, 1 << 47)))]
+    edges = [edge + delta & MASK64 for start, end in ranges
+             for edge, delta in ((start, -1), (start, 0), (end, -1),
+                                 (end, 0))]
+    word = st.one_of(st.just(0), st.sampled_from(edges),
+                     st.integers(0, MASK64))
+    slots = SCAN_PAGES * PAGE_SIZE // WORD_SIZE
+    words = draw(st.dictionaries(st.integers(0, slots - 1), word,
+                                 max_size=300))
+    offset = draw(st.integers(0, PAGE_SIZE // WORD_SIZE - 1)) * WORD_SIZE
+    pages = draw(st.integers(1, 3))
+    size = draw(st.integers(0, pages * PAGE_SIZE - offset))
+    size = size - size % WORD_SIZE + draw(st.integers(0, WORD_SIZE - 1))
+    slot_offsets = draw(st.none() | st.lists(
+        st.integers(0, size // WORD_SIZE).map(lambda s: s * WORD_SIZE)))
+    return ranges, words, SCAN_BASE + offset, size, slot_offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_page_chunk_scan_matches_slot_walk(case):
+    """Stats, memory bytes, accesses counted and charges all equal the
+    slot-at-a-time walk's, on words biased to zero and to both ranges'
+    edges, from any aligned start across one to three pages."""
+    ranges, words, start, size, slot_offsets = case
+    scan_both(ranges, words, start, size, slot_offsets)
+
+
+SCAN_RANGES = [(0x10_0000, 0x11_0000), (0x7F00_0000_0000, 0x7F00_0010_0000)]
+SCAN_WORDS = {0: 0x10_0008, 3: 42, 511: 0x7F00_0000_0040,
+              512: 0x10_FFFF, 700: 0x11_0000, 1100: 0x10_0010}
+
+
+def test_scan_unaligned_start_faults_like_slot_walk():
+    result, _, accesses, charges, _ = scan_both(
+        SCAN_RANGES, SCAN_WORDS, SCAN_BASE + 4, 64)
+    assert result == (AlignmentFault, "unaligned word read at 0x400004",
+                      SCAN_BASE + 4)
+    assert accesses == 0 and charges == []
+
+
+def test_scan_unmapped_middle_page_faults_after_earlier_rewrites():
+    result, memory, accesses, charges, _ = scan_both(
+        SCAN_RANGES, SCAN_WORDS, SCAN_BASE + 8, 3 * PAGE_SIZE,
+        mapped=(0, 2, 3))
+    hole = SCAN_BASE + PAGE_SIZE
+    assert result[0] is SegmentationFault and result[2] == hole
+    assert charges == []
+    assert accesses == 511 + 1 + 1   # page 0's reads, a rewrite, the fault
+    first = memory[SCAN_BASE]
+    assert int.from_bytes(first[511 * 8:512 * 8], "little") == \
+        0x7F00_0000_0040 + SHIFT                  # rewritten before it
+    assert int.from_bytes(first[:8], "little") == 0x10_0008  # not scanned
+
+
+def test_scan_under_an_observer_issues_the_slot_walks_events():
+    _, _, _, _, events = scan_both(
+        SCAN_RANGES, SCAN_WORDS, SCAN_BASE, 2 * PAGE_SIZE, observe=True)
+    assert len(events) == 2 * PAGE_SIZE // WORD_SIZE + 3   # 3 rewrites
+    assert events[:2] == [
+        ("read", SCAN_BASE, 8, (0x10_0008).to_bytes(8, "little")),
+        ("write", SCAN_BASE, 8, (0x10_0008 + SHIFT).to_bytes(8, "little"))]
 
 
 # -- the lockstep channel -----------------------------------------------------------

@@ -199,3 +199,47 @@ def test_observers_see_accesses():
     space.remove_observer(space._observers[0])
     space.read(base, 2)
     assert len(events) == 2
+
+
+def test_share_into_excludes_by_page_base_and_keeps_other_pages():
+    """A page is excluded when its *base* lies in ``[start, end)``, so
+    unaligned ends round up; pages ``other`` already holds are kept at
+    excluded indices and replaced at shared ones."""
+    leader = AddressSpace("leader")
+    follower = AddressSpace("follower")
+    base = leader.mmap(0x100000, 6 * PAGE_SIZE)
+    page = [base + i * PAGE_SIZE for i in range(6)]
+    follower.mmap(page[1], PAGE_SIZE, tag="private")
+    follower.mmap(page[5], PAGE_SIZE, tag="stale")
+    held = follower.page_at(page[1])
+    shared = leader.share_into(follower, exclude=[
+        (page[0] + 1, page[2] - 1),      # bases page[1] only
+        (page[3], page[4] + 1),          # bases page[3] and page[4]
+    ])
+    assert shared == 3                   # page[0], page[2], page[5]
+    for index in (0, 2, 5):
+        assert follower.page_at(page[index]) is leader.page_at(page[index])
+    assert follower.page_at(page[1]) is held
+    assert not follower.is_mapped(page[3])
+    assert not follower.is_mapped(page[4])
+    assert leader.share_into(AddressSpace(), exclude=[(page[2], page[0])]) \
+        == 6                             # an empty range excludes nothing
+
+
+def test_read_words_counts_one_access_per_word():
+    space = AddressSpace()
+    base = space.mmap(None, 2 * PAGE_SIZE)
+    for i in range(4):
+        space.write_word(base + PAGE_SIZE - 32 + 8 * i, i + 1)
+    before = space.access_count
+    assert space.read_words(base + PAGE_SIZE - 32, 4) == (1, 2, 3, 4)
+    assert space.access_count == before + 4
+    with pytest.raises(AlignmentFault):
+        space.read_words(base + 4, 1)
+    with pytest.raises(ValueError):
+        space.read_words(base + PAGE_SIZE - 32, 5)   # crosses a page
+    events = []
+    space.add_observer(lambda op, a, n, v: events.append((op, a, n)))
+    space.read_words(base + PAGE_SIZE - 16, 2)
+    assert events == [("read", base + PAGE_SIZE - 16, 8),
+                      ("read", base + PAGE_SIZE - 8, 8)]
