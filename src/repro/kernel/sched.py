@@ -124,9 +124,10 @@ class CoreClock:
     def advance_ns(self, ns: float) -> None:
         if ns < 0:
             raise ValueError("cannot advance a core clock backwards")
-        self.local_ns += ns
-        if self.local_ns > self._global.monotonic_ns:
-            self._global.advance_to(self.local_ns)
+        local = self.local_ns = self.local_ns + ns
+        clock = self._global
+        if local > clock.monotonic_ns:
+            clock.advance_to(local)
 
     def catch_up(self, instant: float) -> None:
         """The core idled until ``instant`` (a wake): jump local time

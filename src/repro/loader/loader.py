@@ -209,12 +209,6 @@ class Loader:
         sym = loaded.function_at(addr)
         return (loaded, sym) if sym is not None else None
 
-    def hl_function(self, global_index: int) -> Tuple[HLFunction, LoadedImage]:
-        try:
-            return self.hl_table[global_index]
-        except IndexError:
-            raise ImageError(f"bad HL index {global_index}") from None
-
     # -- interposition (used by the sMVX monitor) -----------------------------------------
 
     def got_slot_address(self, loaded: LoadedImage, name: str) -> int:

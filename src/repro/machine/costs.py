@@ -128,11 +128,14 @@ class CycleCounter:
         if ns < 0:
             raise ValueError("cannot charge negative time")
         self.total_ns += ns
-        self.by_category[category] = self.by_category.get(category, 0.0) + ns
-        if self.clock is not None:
-            self.clock.advance_ns(ns)
-        for listener in self.listeners:
-            listener(ns, category)
+        by_category = self.by_category
+        by_category[category] = by_category.get(category, 0.0) + ns
+        clock = self.clock
+        if clock is not None:
+            clock.advance_ns(ns)
+        if self.listeners:
+            for listener in self.listeners:
+                listener(ns, category)
 
     def add_listener(self, listener) -> None:
         self.listeners.append(listener)

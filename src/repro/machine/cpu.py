@@ -44,7 +44,7 @@ from typing import Callable, List, Optional
 from repro.errors import InvalidInstruction, MachineFault
 from repro.machine.costs import CostModel, CycleCounter, DEFAULT_COSTS
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
-from repro.machine.memory import AddressSpace, PAGE_SIZE, WORD_SIZE
+from repro.machine.memory import AddressSpace, PAGE_SIZE, PROT_EXEC, WORD_SIZE
 from repro.machine.mpk import PKRU_MASK
 from repro.machine.registers import RegisterFile
 
@@ -386,13 +386,6 @@ class CPU:
         state.regs.set("rsp", (rsp + WORD_SIZE) & _MASK64)
         return value
 
-    def _precision_forced(self) -> bool:
-        """True when something observes execution at instruction or
-        access granularity — those consumers get the precise path."""
-        return (self.force_slow_path or self.trace_hook is not None
-                or bool(self.space._observers)
-                or bool(self.counter.listeners))
-
     # -- execution -----------------------------------------------------------
 
     def run(self, state: ExecState, until_rip: int = HOST_RETURN_ADDRESS,
@@ -411,7 +404,10 @@ class CPU:
                 return "host-return"
             if max_steps is not None and steps >= max_steps:
                 return "max-steps"
-            if self._precision_forced():
+            # the precise path serves anything observing execution at
+            # instruction or access granularity
+            if (self.force_slow_path or self.trace_hook is not None
+                    or self.space._observers or self.counter.listeners):
                 self.step(state)
                 steps += 1
             else:
@@ -452,6 +448,7 @@ class CPU:
         every observable point (host callbacks, faults, run exit).
         """
         space = self.space
+        pages = space._pages
         regs = state.regs
         regs_d = regs._regs
         counter = self.counter
@@ -477,7 +474,9 @@ class CPU:
                 # -- fetch through the per-page decoded cache
                 idx = rip >> 12
                 if idx != cur_idx or space.mapping_epoch != cur_epoch:
-                    cur_page = fetch_check(rip)
+                    cur_page = pages.get(idx)
+                    if cur_page is None or not cur_page.prot & PROT_EXEC:
+                        fetch_check(rip)      # raises the ExecuteFault
                     cur_idx = idx
                     cur_epoch = space.mapping_epoch
                 cache = cur_page.decode_cache
@@ -652,7 +651,8 @@ class CPU:
                         raise MachineFault(
                             "SYSCALL with no kernel attached", rip)
                     self.syscall_handler(state)
-                    if self._precision_forced():
+                    if (self.force_slow_path or self.trace_hook is not None
+                            or space._observers or counter.listeners):
                         return steps
                 elif op == 0x70:          # HLCALL — block boundary
                     if pending:
@@ -664,7 +664,8 @@ class CPU:
                         raise MachineFault(
                             "HLCALL with no dispatcher", rip)
                     self.hl_dispatch(state, imm)
-                    if self._precision_forced():
+                    if (self.force_slow_path or self.trace_hook is not None
+                            or space._observers or counter.listeners):
                         return steps
                 else:  # pragma: no cover - decode guarantees coverage
                     raise InvalidInstruction(

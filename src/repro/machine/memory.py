@@ -436,8 +436,16 @@ class AddressSpace:
             return _WORD_STRUCT.unpack(self.read(addr, WORD_SIZE, pkru,
                                                  privileged))[0]
         # fast path: an aligned word never crosses a page; unpack straight
-        # from the backing bytearray without an intermediate copy
+        # from the backing bytearray without an intermediate copy.  A TLB
+        # hit is served here with _lookup_read's revalidation.
         self.access_count += 1
+        if not privileged:
+            entry = self._tlb_read.get((addr // PAGE_SIZE, pkru))
+            if entry is not None:
+                page = entry[0]
+                if page.prot == entry[1] and page.pkey == entry[2]:
+                    return _WORD_STRUCT.unpack_from(page.data,
+                                                    addr % PAGE_SIZE)[0]
         page = self._lookup_read(addr, pkru, privileged)
         return _WORD_STRUCT.unpack_from(page.data, addr % PAGE_SIZE)[0]
 
@@ -478,7 +486,14 @@ class AddressSpace:
                        privileged)
             return
         self.access_count += 1
-        page = self._lookup_write(addr, pkru, privileged)
+        page = None
+        if not privileged:
+            entry = self._tlb_write.get((addr // PAGE_SIZE, pkru))
+            if (entry is not None and entry[0].prot == entry[1]
+                    and entry[0].pkey == entry[2]):
+                page = entry[0]
+        if page is None:
+            page = self._lookup_write(addr, pkru, privileged)
         _WORD_STRUCT.pack_into(page.data, addr % PAGE_SIZE, value & _MASK64)
         if page.decode_cache is not None:
             page.invalidate_decode()

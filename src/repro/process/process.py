@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.errors import InvalidInstruction
 from repro.kernel.kernel import Kernel
 from repro.loader.image import ProgramImage
 from repro.loader.loader import LoadedImage, Loader
@@ -209,7 +210,9 @@ class GuestProcess:
 
         Implements the SysV convention: first six integer args in
         registers, the rest pushed right-to-left, ``rax`` = arg count (for
-        variadic callees), return address pushed by CALL semantics.
+        variadic callees), return address pushed by CALL semantics.  The
+        caller's registers and ``active_thread`` are restored however the
+        call ends, a fault while pushing the arguments included.
         """
         if isinstance(target, str):
             address = self.resolve(target)
@@ -217,33 +220,38 @@ class GuestProcess:
             address = target
         state = thread.state
         regs = state.regs
-        saved = regs.snapshot()
+        regs_d = regs._regs
+        # register values are always stored masked, so a plain copy is
+        # a complete snapshot
+        saved = regs_d.copy()
+        saved_rip = regs.rip
+        saved_flags = regs.flags
         previous_active = self.active_thread
         self.active_thread = thread
-
-        int_args = [int(a) & _MASK64 for a in args]
-        for name, value in zip(ARG_REGISTERS, int_args[:6]):
-            regs.set(name, value)
-        for value in reversed(int_args[6:]):
-            self._push(state, value)
-        regs.set("rax", len(int_args))
-
-        self._sentinel_seq += 1
-        sentinel = HOST_RETURN_ADDRESS + INSTR_SIZE * (
-            self._sentinel_seq & 0xFFFFFF)
-        self._push(state, sentinel)
-        regs.rip = address
         try:
+            for name, value in zip(ARG_REGISTERS, args):
+                regs_d[name] = int(value) & _MASK64
+            for value in reversed(args[6:]):
+                self._push(state, int(value))
+            regs_d["rax"] = len(args)
+
+            self._sentinel_seq += 1
+            sentinel = HOST_RETURN_ADDRESS + INSTR_SIZE * (
+                self._sentinel_seq & 0xFFFFFF)
+            self._push(state, sentinel)
+            regs.rip = address
             thread.cpu.run(state, until_rip=sentinel)
-            result = regs.get("rax")
+            return regs_d["rax"]
         finally:
-            regs.load_snapshot(saved)
+            regs_d.update(saved)
+            regs.rip = saved_rip
+            regs.flags = saved_flags
             self.active_thread = previous_active
-        return result
 
     def _push(self, state: ExecState, value: int) -> None:
-        rsp = (state.regs.get("rsp") - WORD_SIZE) & _MASK64
-        state.regs.set("rsp", rsp)
+        regs_d = state.regs._regs
+        rsp = (regs_d["rsp"] - WORD_SIZE) & _MASK64
+        regs_d["rsp"] = rsp
         state.thread.space.write_word(rsp, value & _MASK64, pkru=state.pkru)
 
     def call_function(self, name: str, *args: int,
@@ -255,22 +263,23 @@ class GuestProcess:
     # -- CPU escape hatches ------------------------------------------------------------------
 
     def _hl_dispatch(self, state: ExecState, global_index: int) -> None:
-        hl, home = self.loader.hl_function(global_index)
-        rip_next = state.regs.rip             # already past the HLCALL
-        entry_addr = rip_next - INSTR_SIZE
+        regs_d = state.regs._regs
+        entry_addr = state.regs.rip - INSTR_SIZE   # rip is past the HLCALL
+        table = self.loader.hl_table
+        if not 0 <= global_index < len(table):
+            raise InvalidInstruction(
+                f"HLCALL index {global_index} outside the HL table",
+                entry_addr)
+        hl, home = table[global_index]
         loaded = self.loader.image_at(entry_addr) or home
         thread: GuestThread = state.thread
-        regs = state.regs
-        entry_rsp = regs.get("rsp")
+        entry_rsp = regs_d["rsp"]
 
-        args = []
-        for index in range(hl.arity):
-            if index < len(ARG_REGISTERS):
-                args.append(regs.get(ARG_REGISTERS[index]))
-            else:
-                offset = WORD_SIZE * (index - len(ARG_REGISTERS) + 1)
-                args.append(thread.space.read_word(entry_rsp + offset,
-                                                   pkru=state.pkru))
+        args = [regs_d[name] for name in ARG_REGISTERS[:hl.arity]]
+        for index in range(len(ARG_REGISTERS), hl.arity):
+            offset = WORD_SIZE * (index - len(ARG_REGISTERS) + 1)
+            args.append(thread.space.read_word(entry_rsp + offset,
+                                               pkru=state.pkru))
 
         ctx = GuestContext(self, thread, loaded, hl.name)
         if self.function_trace is not None:
@@ -287,8 +296,8 @@ class GuestProcess:
             self.active_thread = previous_active
             # discard locals; the (possibly corrupted) return-address slot
             # is back on top for the RET that follows the HLCALL.
-            regs.set("rsp", entry_rsp)
-        regs.set("rax", int(result or 0) & _MASK64)
+            regs_d["rsp"] = entry_rsp
+        regs_d["rax"] = int(result or 0) & _MASK64
 
     def _syscall_from_isa(self, state: ExecState) -> None:
         regs = state.regs

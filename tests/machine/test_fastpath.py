@@ -649,6 +649,80 @@ def test_observer_attached_from_syscall_mid_run():
     assert fast_cpu.precise_insns > 0
 
 
+@pytest.mark.parametrize("consumer", ["hook", "observer", "listener"])
+def test_consumer_attached_from_hlcall_takes_effect_immediately(consumer):
+    """An HLCALL handler may attach any precision consumer; the fast
+    block ends there and the next instruction already runs precisely."""
+    a = Assembler()
+    a.mov_ri("rax", 1)
+    a.hlcall(0)
+    a.mov_ri("rbx", 2)
+    a.mov_ri("rcx", 3)
+    a.ret()
+    cpu, state, _ = make_machine(a)
+    seen = []
+
+    def attach(st, index):
+        if consumer == "hook":
+            cpu.trace_hook = lambda s, addr, instr: seen.append(instr.op)
+        elif consumer == "observer":
+            cpu.space.add_observer(lambda *event: seen.append(event[0]))
+        else:
+            cpu.counter.add_listener(lambda ns, category: seen.append(ns))
+
+    cpu.hl_dispatch = attach
+    run_to_host(cpu, state)
+    assert (cpu.fast_insns, cpu.precise_insns) == (2, 3)
+    assert seen == {"hook": [Op.MOV_RI, Op.MOV_RI, Op.RET],
+                    "observer": ["read"],          # the RET's pop
+                    "listener": [1, 1, 1]}[consumer]
+
+
+def test_every_register_write_stores_a_masked_value():
+    """Both paths store register values already masked to 64 bits, so a
+    register snapshot is a plain copy: every opcode that writes a
+    register, fed operands that carry out of bit 63 or go below zero."""
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    a.mov_ri("rax", -1)
+    a.mov_ri("rbx", -(1 << 63))
+    a.add_ri("rax", 5)
+    a.add_rr("rbx", "rbx")
+    a.sub_ri("rcx", 1)
+    a.sub_rr("rdx", "rax")
+    a.and_ri("rcx", -2)
+    a.or_ri("rsi", -3)
+    a.xor_ri("rdi", -4)
+    a.and_rr("rsi", "rdi")
+    a.or_rr("rdi", "rcx")
+    a.xor_rr("rdx", "rsi")
+    a.shl_ri("rcx", 63)
+    a.shr_ri("rdi", 1)
+    a.mul_rr("rcx", "rdi")
+    a.not_r("r8")
+    a.mov_rr("r10", "r8")
+    a.lea("r11", -16)
+    a.store("r9", "r11", 0)
+    a.load("r12", "r9", 0)
+    a.load8("r13", "r9", 0)
+    a.push_i(-5)
+    a.pop_r("r14")
+    a.rdpkru()
+    a.ret()
+    for precise in (False, True):
+        cpu, state, _ = make_machine(a)
+        cpu.force_slow_path = precise
+        stored = []
+        if precise:
+            cpu.trace_hook = lambda st, addr, instr: \
+                stored.extend(st.regs._regs.values())
+        run_to_host(cpu, state)
+        stored.extend(state.regs._regs.values())
+        assert state.regs.get("r14") == (1 << 64) - 5
+        assert all(0 <= value < 1 << 64 for value in stored)
+        assert len(stored) == 16 * (cpu.precise_insns + 1)
+
+
 # -- randomized differential fuzz --------------------------------------------
 
 _BODY_REGS = ("rax", "rbx", "rdx", "rsi", "rdi", "r8", "r10", "r11")

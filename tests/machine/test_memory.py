@@ -1,10 +1,15 @@
 """Unit tests for the paged address space and MMU checks."""
 
+import struct
+import types
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     AlignmentFault,
     ExecuteFault,
+    MachineFault,
     ProtectionKeyFault,
     SegmentationFault,
 )
@@ -18,7 +23,12 @@ from repro.machine import (
     page_align_down,
     page_align_up,
 )
-from repro.machine.mpk import pkru_disable_access, pkru_disable_write
+from repro.machine.memory import WORD_SIZE
+from repro.machine.mpk import (
+    PKRU_ALLOW_ALL,
+    pkru_disable_access,
+    pkru_disable_write,
+)
 
 
 def test_page_alignment_helpers():
@@ -243,3 +253,137 @@ def test_read_words_counts_one_access_per_word():
     space.read_words(base + PAGE_SIZE - 16, 2)
     assert events == [("read", base + PAGE_SIZE - 16, 8),
                       ("read", base + PAGE_SIZE - 8, 8)]
+
+
+# -- word accesses against a TLB lookup per access ----------------------------
+
+_WORD_STRUCT = struct.Struct("<Q")
+_MASK64 = (1 << 64) - 1
+
+
+def reference_read_word(self, addr: int, pkru: int = PKRU_ALLOW_ALL,
+                        privileged: bool = False, aligned: bool = True) -> int:
+    """``read_word`` before TLB hits were served inline."""
+    if addr % WORD_SIZE:
+        if aligned:
+            raise AlignmentFault(
+                f"unaligned word read at {addr:#x}", addr)
+        # unaligned words may straddle pages: take the general path
+        return _WORD_STRUCT.unpack(self.read(addr, WORD_SIZE, pkru,
+                                             privileged))[0]
+    if self._observers:
+        return _WORD_STRUCT.unpack(self.read(addr, WORD_SIZE, pkru,
+                                             privileged))[0]
+    # fast path: an aligned word never crosses a page; unpack straight
+    # from the backing bytearray without an intermediate copy
+    self.access_count += 1
+    page = self._lookup_read(addr, pkru, privileged)
+    return _WORD_STRUCT.unpack_from(page.data, addr % PAGE_SIZE)[0]
+
+
+def reference_write_word(self, addr: int, value: int,
+                         pkru: int = PKRU_ALLOW_ALL,
+                         privileged: bool = False,
+                         aligned: bool = True) -> None:
+    """``write_word`` before TLB hits were served inline."""
+    if addr % WORD_SIZE:
+        if aligned:
+            raise AlignmentFault(
+                f"unaligned word write at {addr:#x}", addr)
+        self.write(addr, _WORD_STRUCT.pack(value & _MASK64), pkru,
+                   privileged)
+        return
+    if self._observers:
+        self.write(addr, _WORD_STRUCT.pack(value & _MASK64), pkru,
+                   privileged)
+        return
+    self.access_count += 1
+    page = self._lookup_write(addr, pkru, privileged)
+    _WORD_STRUCT.pack_into(page.data, addr % PAGE_SIZE, value & _MASK64)
+    if page.decode_cache is not None:
+        page.invalidate_decode()
+
+
+WORLD_BASE = 0x60_0000
+WORLD_PKRUS = (0, pkru_disable_access(0, 3), pkru_disable_write(0, 3),
+               pkru_disable_write(0, 0))
+
+
+def word_world_outcome(ops, reference, observe):
+    """Run ``ops`` on a leader space and a follower sharing its pages
+    (page 4 is unmapped); return everything the accesses can change."""
+    leader, follower = AddressSpace("leader"), AddressSpace("follower")
+    leader.mmap(WORLD_BASE, 4 * PAGE_SIZE)
+    leader.pkey_mprotect(WORLD_BASE + PAGE_SIZE, PAGE_SIZE, PROT_RW, pkey=3)
+    leader.mprotect(WORLD_BASE + 2 * PAGE_SIZE, PAGE_SIZE, PROT_READ)
+    leader.share_into(follower)
+    spaces = (leader, follower)
+    events = []
+    for space in spaces:
+        if reference:
+            space.read_word = types.MethodType(reference_read_word, space)
+            space.write_word = types.MethodType(reference_write_word, space)
+        if observe:
+            space.add_observer(lambda *event: events.append(event))
+    results = []
+    for op in ops:
+        space = spaces[op[1]]
+        try:
+            if op[0] == "protect":
+                _, _, page, prot, pkey = op
+                space.pkey_mprotect(WORLD_BASE + page * PAGE_SIZE, PAGE_SIZE,
+                                    prot, pkey)
+                results.append(None)
+                continue
+            kind, _, page, slot, skew, pkru, privileged, aligned, value = op
+            addr = WORLD_BASE + page * PAGE_SIZE + slot * WORD_SIZE + skew
+            if kind == "read":
+                results.append(space.read_word(addr, pkru, privileged,
+                                               aligned))
+            else:
+                results.append(space.write_word(addr, value, pkru=pkru,
+                                                privileged=privileged,
+                                                aligned=aligned))
+        except MachineFault as fault:
+            results.append((type(fault), str(fault), fault.address))
+    return (results, events,
+            [(space.access_count, space.tlb_fills) for space in spaces],
+            [bytes(page.data) for _, page in leader.mapped_pages()])
+
+
+word_accesses = st.tuples(
+    st.sampled_from(["read", "write"]), st.integers(0, 1), st.integers(0, 4),
+    st.sampled_from([0, 1, PAGE_SIZE // WORD_SIZE - 1]),
+    st.sampled_from([0, 0, 4]), st.sampled_from(WORLD_PKRUS), st.booleans(),
+    st.booleans(), st.integers(0, _MASK64))
+protections = st.tuples(
+    st.just("protect"), st.integers(0, 1), st.integers(0, 3),
+    st.sampled_from([PROT_NONE, PROT_READ, PROT_RW]), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.one_of(word_accesses, word_accesses, protections),
+                    max_size=40),
+       observe=st.booleans())
+def test_word_accesses_match_a_tlb_lookup_per_access(ops, observe):
+    """``read_word``/``write_word`` serve a TLB hit inline; values,
+    faults, access and TLB-fill counts, observer events and memory match
+    a lookup through ``_lookup_read``/``_lookup_write`` on every access,
+    with protections changed through either of two spaces sharing the
+    pages."""
+    assert word_world_outcome(ops, False, observe) == \
+        word_world_outcome(ops, True, observe)
+
+
+def test_write_hit_revalidates_a_page_changed_through_another_space():
+    leader, follower = AddressSpace("leader"), AddressSpace("follower")
+    base = leader.mmap(None, PAGE_SIZE)
+    leader.share_into(follower)
+    follower.write_word(base, 1, pkru=pkru_disable_write(0, 3))
+    fills = follower.tlb_fills
+    follower.write_word(base, 2, pkru=pkru_disable_write(0, 3))
+    assert follower.tlb_fills == fills                  # an inline hit
+    leader.pkey_mprotect(base, PAGE_SIZE, PROT_RW, pkey=3)
+    with pytest.raises(ProtectionKeyFault):
+        follower.write_word(base, 3, pkru=pkru_disable_write(0, 3))
+    assert leader.read_word(base) == 2

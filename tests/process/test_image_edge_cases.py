@@ -145,12 +145,15 @@ def test_shifted_copy_view_symbol_math():
     builder.add_hl_function("f", lambda ctx: 7, 0)
     proc = GuestProcess(Kernel(), "p")
     loaded = proc.load_image(builder.build())
+    inside = loaded.symbol_address("f") + 0x1000_0000
+    assert proc.loader.image_at(inside) is None
     copy = proc.loader.register_shifted_copy(loaded, 0x1000_0000, "copy")
-    assert copy.symbol_address("f") == loaded.symbol_address("f") \
-        + 0x1000_0000
+    assert copy.symbol_address("f") == inside
     assert copy.tag == "copy"
+    assert proc.loader.image_at(inside) is copy
     proc.loader.unregister(copy)
     assert copy not in proc.loader.images
+    assert proc.loader.image_at(inside) is None
 
 
 def test_image_at_first_last_and_one_past_end():
