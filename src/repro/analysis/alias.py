@@ -78,11 +78,6 @@ class AliasAnalysis:
     def narrowed_slot_count(self) -> int:
         return len(self.data_pointer_offsets)
 
-    def resolved_targets(self, function: str,
-                         site: int) -> Optional[Tuple[str, ...]]:
-        """Resolved callees of one ``CALL_R``/``JMP_R`` site, or None."""
-        return self.indirect_targets.get(function, {}).get(site)
-
 
 # ---------------------------------------------------------------------------
 # pointer-table fact extraction

@@ -9,19 +9,14 @@ analogue, since every mapped page is "resident".
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.machine.memory import AddressSpace
 from repro.process.process import GuestProcess
 
 
 def rss_kb(process: GuestProcess) -> float:
     """Total RSS of a guest process, in KiB."""
     return process.space.resident_bytes() / 1024.0
-
-
-def rss_of_space_kb(space: AddressSpace) -> float:
-    return space.resident_bytes() / 1024.0
 
 
 def rss_report(process: GuestProcess) -> Dict[str, float]:

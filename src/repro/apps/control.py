@@ -71,7 +71,6 @@ class Supervisor:
 
         self.task = None
         self._stop = False
-        self._reload_requested = False
         self._reload_done = False
         #: workers whose exit is deliberate (drained generations) — their
         #: task.done must not be read as a crash
@@ -99,9 +98,6 @@ class Supervisor:
         # fleet's end state, not the last mid-load tick
         self._sample_metrics(self.kernel.clock.monotonic_ns)
 
-    def request_reload(self) -> None:
-        self._reload_requested = True
-
     # -- the supervisor task --------------------------------------------------
 
     def _run(self) -> None:
@@ -114,9 +110,6 @@ class Supervisor:
         now = self.kernel.clock.monotonic_ns
         if (self.reload_at_ns is not None and not self._reload_done
                 and now >= self.reload_at_ns):
-            self._reload_requested = True
-        if self._reload_requested:
-            self._reload_requested = False
             self._reload(now)
         self._reap_alarms(now)
         self._reap_crashes(now)

@@ -11,7 +11,7 @@ model grants the attacker) and lays out the stack words.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.gadgets import (
@@ -37,10 +37,6 @@ class RopChain:
     def pack(self) -> bytes:
         return b"".join(struct.pack("<Q", w & (2 ** 64 - 1))
                         for w in self.words)
-
-    @property
-    def gadget_count(self) -> int:
-        return len([w for w in self.words if w]) // 2 + 1
 
 
 def build_mkdir_chain(process: GuestProcess, target: LoadedImage,

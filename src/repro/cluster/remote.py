@@ -15,20 +15,22 @@ Three pieces:
   SmvxMonitor` subclass for the leader process.  ``setup()`` is
   inherited wholesale (same GOT interposition, same MPK isolation), but
   region bodies create **no local variant**: every intercepted call is
-  executed locally, captured as a :class:`~repro.core.ipc.CallEvent`
-  (retval, errno, output-buffer bytes), and posted to the wire batch.
-  Sensitive calls ship a ``sync`` announcement first and block for the
-  remote verdict *before* executing — CVE-2013-2028's ``mkdir`` never
-  runs when the remote follower died on the ROP chain.
+  executed locally, flattened by the inherited ``capture`` into a
+  :class:`~repro.core.ipc.CallEvent` (retval, errno, output-buffer
+  bytes), and posted to the wire batch.  Sensitive calls ship a ``sync``
+  announcement first and block for the remote verdict *before*
+  executing — CVE-2013-2028's ``mkdir`` never runs when the remote
+  follower died on the ROP chain.
 
 * :class:`RemoteRegionRunner` — host 1 side.  A *mirror* of the leader
   process (built by the same constructor, same pid, same layout) carries
   a stock in-process :class:`SmvxMonitor`; the runner applies the
   leader's page/heap deltas, opens a real region (which creates a real
-  follower variant), and replays the leader side of the lockstep channel
-  from the wire events.  All of §3.3's emulation (buffer copies, epoll
-  translation, pointer-return mapping) is reproduced against data that
-  came over the wire instead of out of leader memory.
+  follower variant), and hands each wire event to that monitor's own
+  ``rendezvous`` and ``publish``.  The mirror therefore runs the
+  in-process lockstep protocol of §3.3 (compare, buffer copies, epoll
+  translation, pointer-return mapping) unchanged, with bytes that came
+  over the wire in place of reads from leader memory.
 
 * :class:`DistributedSmvx` — pairs a leader server with its mirror over
   a :class:`~repro.cluster.host.Cluster`, one channel per worker
@@ -54,18 +56,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import wire
 from repro.cluster.host import Cluster, ClusterHost, WireEndpoint
-from repro.core.divergence import CallRecord, DivergenceReport, compare_calls
-from repro.core.ipc import LEADER, CallEvent, LibcResult
+from repro.core.divergence import CallRecord, DivergenceReport
+from repro.core.ipc import LEADER, CallEvent
 from repro.core.monitor import SmvxMonitor
-from repro.errors import (
-    MachineFault,
-    MvxDivergence,
-    MvxSetupError,
-    MvxStateError,
-)
-from repro.libc.categories import BufSize, Category, EmulationSpec, spec_for
+from repro.errors import MvxDivergence, MvxSetupError, MvxStateError
 from repro.machine.memory import PAGE_SIZE, PROT_WRITE
-from repro.process.context import to_signed
 from repro.process.process import GuestProcess, GuestThread
 
 #: calls the leader treats as security-sensitive sync points (dMVX §4:
@@ -257,14 +252,14 @@ class DistributedLeaderMonitor(SmvxMonitor):
     def _leader_call(self, ctx, thread: GuestThread, name: str,
                      args: List[int]) -> int:
         region = self.region
-        spec = spec_for(name) or EmulationSpec(name, Category.LOCAL)
         region.leader_seq += 1
         record = CallRecord(region.leader_seq, name, tuple(args), LEADER)
         self.stats.leader_calls += 1
         for tap in self.call_taps:
             tap(LEADER, record)
 
-        if name in self.sensitive:
+        sensitive = name in self.sensitive
+        if sensitive:
             # dMVX sensitive-operation sync point: announce, flush, and
             # block for the remote verdict *before* executing.  The wait
             # is the only per-call wall cost the leader ever pays.
@@ -279,55 +274,19 @@ class DistributedLeaderMonitor(SmvxMonitor):
                 report = wire.report_from_dict(verdict["alarm"])
                 self._teardown_region(alarm=report)
                 raise MvxDivergence(report)
-            retval = self._execute_libc(thread, name, args)
-            event = self._capture(spec, record, retval, thread)
-            self.endpoint.post(wire.result_msg(event), self.process)
-            return retval
 
-        # relaxed lockstep: execute immediately, ship the outcome
+        # execute and ship the outcome: a sync point's result, or a
+        # relaxed-lockstep call the mirror checks after the fact
         retval = self._execute_libc(thread, name, args)
-        event = self._capture(spec, record, retval, thread)
-        self.endpoint.post(wire.call_msg(event), self.process)
-        return retval
-
-    def _capture(self, spec: EmulationSpec, record: CallRecord,
-                 retval: int, thread: GuestThread) -> CallEvent:
-        """Flatten an executed call into a wire event: retval/errno plus
-        the bytes of every output buffer the call filled in leader
-        memory (the remote monitor writes them into its follower)."""
-        execute_locally = spec.category is Category.LOCAL
-        buffers: List[Tuple[int, bytes]] = []
-        signed = to_signed(retval)
-        if not execute_locally and signed >= 0:
-            space = self.process.space
-            for buffer in spec.out_buffers:
-                if buffer.arg_index >= len(record.args):
-                    continue
-                pointer = record.args[buffer.arg_index]
-                if pointer == 0:
-                    continue
-                if buffer.size is BufSize.RETVAL:
-                    size = signed
-                elif buffer.size is BufSize.RETVAL_TIMES:
-                    size = signed * buffer.fixed_size
-                else:
-                    size = buffer.fixed_size
-                if size <= 0:
-                    continue
-                if spec.category is Category.SPECIAL \
-                        and spec.name == "ioctl" \
-                        and not space.is_mapped(pointer):
-                    continue
-                buffers.append((buffer.arg_index,
-                                space.read(pointer, size, privileged=True)))
-                self.stats.bytes_copied += size
-        if execute_locally:
+        event = self.capture(record, retval, thread)
+        if event.execute_locally:
             self.stats.local_calls += 1
         else:
             self.stats.emulated_calls += 1
-        return CallEvent(record.seq, record.name, record.args, retval,
-                         thread.errno, execute_locally, tuple(buffers),
-                         task=thread.tid, pc=thread.state.regs.rip)
+        self.stats.bytes_copied += sum(len(data) for _, data in event.buffers)
+        msg = wire.result_msg(event) if sensitive else wire.call_msg(event)
+        self.endpoint.post(msg, self.process)
+        return retval
 
     def _await_verdict(self, region: int, seq: int) -> Tuple[Dict, float]:
         """Flush, then drive the cluster until the verdict lands."""
@@ -346,8 +305,8 @@ class DistributedLeaderMonitor(SmvxMonitor):
 
 class RemoteRegionRunner:
     """Host-1 protocol engine for one leader/mirror pair: applies state
-    deltas, opens mirror regions, and replays the leader side of the
-    lockstep channel from wire events."""
+    deltas, opens mirror regions, and runs the leader side of the
+    lockstep channel from wire events on the mirror's own monitor."""
 
     def __init__(self, process: GuestProcess, monitor: SmvxMonitor,
                  host: ClusterHost, endpoint: WireEndpoint,
@@ -364,7 +323,9 @@ class RemoteRegionRunner:
         #: reported at the next sync or region end).
         self.alarm: Optional[DivergenceReport] = None
         self._dead = False
-        self._pending_sync = None
+        #: the follower's record of the sync call whose executed result
+        #: has not arrived yet
+        self._pending_sync: Optional[CallRecord] = None
         self.events_played = 0
 
     # -- frame entry -------------------------------------------------------
@@ -401,49 +362,35 @@ class RemoteRegionRunner:
             return
         event = CallEvent.from_dict(msg["event"])
         try:
-            self._play(event)
+            self.monitor.publish(event, self._rendezvous(event))
         except MvxDivergence as divergence:
             self._abort(divergence.report)
+            return
+        self.events_played += 1
 
     def _on_sync(self, msg: Dict) -> None:
         event = CallEvent.from_dict(msg["event"])
         if self._dead:
             self._send_verdict(event.seq, self.alarm is None, self.alarm)
             return
-        spec = spec_for(event.name) or EmulationSpec(event.name,
-                                                     Category.LOCAL)
-        record = CallRecord(event.seq, event.name, event.args, LEADER)
-        channel = self.monitor.region.channel
-        self.process.charge(self.process.costs.rendezvous_ns,
-                            "smvx-rendezvous")
         try:
-            follower_record = channel.leader_announce(record)
+            follower = self._rendezvous(event)
         except MvxDivergence as divergence:
             self._abort(divergence.report)
             self._send_verdict(event.seq, False, divergence.report)
             return
-        report = compare_calls(record, follower_record, spec.pointer_args)
-        if report is not None:
-            report = replace(report, task_id=event.task,
-                             guest_pc=event.pc)
-            self._abort(report)
-            self._send_verdict(event.seq, False, report)
-            return
         # follower stays parked in follower_announce until the executed
         # result arrives; the leader is free to run the moment the OK
         # verdict lands
-        self._pending_sync = (event, spec, record, follower_record)
+        self._pending_sync = follower
         self._send_verdict(event.seq, True, None)
 
     def _on_result(self, msg: Dict) -> None:
         if self._dead or self._pending_sync is None:
             return
-        event = CallEvent.from_dict(msg["event"])
-        _, spec, record, follower_record = self._pending_sync
-        self._pending_sync = None
-        channel = self.monitor.region.channel
+        follower, self._pending_sync = self._pending_sync, None
         try:
-            self._publish(channel, spec, event, follower_record)
+            self.monitor.publish(CallEvent.from_dict(msg["event"]), follower)
         except MvxDivergence as divergence:
             self._abort(divergence.report)
 
@@ -459,91 +406,23 @@ class RemoteRegionRunner:
             return
         self._send_verdict(-1, True, None)
 
-    # -- replaying the leader side of the channel --------------------------
+    # -- the leader side of the channel, fed from the wire ------------------
 
-    def _play(self, event: CallEvent) -> None:
-        """One already-executed leader call: announce, compare, emulate,
-        publish — the in-process ``_leader_call`` with leader memory
-        reads replaced by wire payloads."""
-        spec = spec_for(event.name) or EmulationSpec(event.name,
-                                                     Category.LOCAL)
-        record = CallRecord(event.seq, event.name, event.args, LEADER)
-        channel = self.monitor.region.channel
+    def _rendezvous(self, event: CallEvent) -> CallRecord:
+        """The in-process monitor's rendezvous for a leader call that
+        arrived over the wire; returns the follower's record."""
         self.process.charge(self.process.costs.rendezvous_ns,
                             "smvx-rendezvous")
-        follower_record = channel.leader_announce(record)
-        report = compare_calls(record, follower_record, spec.pointer_args)
-        if report is not None:
-            report = replace(report, task_id=event.task,
-                             guest_pc=event.pc)
-            channel.leader_abort(report)
-            raise MvxDivergence(report)
-        self._publish(channel, spec, event, follower_record)
-        self.events_played += 1
-
-    def _publish(self, channel, spec: EmulationSpec, event: CallEvent,
-                 follower_record: CallRecord) -> None:
-        if event.execute_locally:
-            channel.leader_publish(LibcResult(
-                event.seq, event.retval, event.errno,
-                execute_locally=True))
-            return
-        try:
-            follower_ret, copied = self._emulate(spec, event,
-                                                 follower_record)
-        except MachineFault as fault:
-            raise MvxDivergence(self.monitor.emulation_fault(
-                event.seq, event.name, fault)) from fault
-        channel.leader_publish(LibcResult(
-            event.seq, follower_ret, event.errno,
-            buffers_copied=tuple(copied)))
-
-    def _emulate(self, spec: EmulationSpec, event: CallEvent,
-                 follower: CallRecord) -> Tuple[int, List[Tuple[int, int]]]:
-        """§3.3 emulation against wire payloads: write the leader's
-        output-buffer bytes into the follower's memory, translate epoll
-        data and pointer returns."""
-        monitor = self.monitor
-        region = monitor.region
-        follower_space = region.variant.thread.space
-        signed = to_signed(event.retval)
-        copied: List[Tuple[int, int]] = []
-        if signed >= 0:
-            for arg_index, data in event.buffers:
-                if arg_index >= len(follower.args):
-                    continue
-                follower_ptr = follower.args[arg_index]
-                if follower_ptr == 0:
-                    continue
-                follower_space.write(follower_ptr, data, privileged=True)
-                copied.append((follower_ptr, len(data)))
-                monitor.stats.bytes_copied += len(data)
-                self.process.charge(
-                    len(data) * self.process.costs.ipc_copy_byte_ns,
-                    "smvx-ipc-copy")
-            if event.name in ("epoll_wait", "epoll_pwait") and signed > 0:
-                monitor._translate_epoll_data(follower.args[1], signed)
-        follower_ret = event.retval
-        if spec.retval_is_pointer:
-            follower_ret = None
-            for index, value in enumerate(event.args):
-                if value == event.retval and index < len(follower.args):
-                    follower_ret = follower.args[index]
-                    break
-            if follower_ret is None:
-                follower_ret = region.relocator.relocate_value(event.retval)
-        return follower_ret & ((1 << 64) - 1), copied
-
-    # -- divergence + verdicts ---------------------------------------------
+        return self.monitor.rendezvous(
+            CallRecord(event.seq, event.name, event.args, LEADER),
+            event.task, event.pc)
 
     def _abort(self, report: DivergenceReport) -> None:
-        if self.alarm is None:
-            self.alarm = report
+        """Note a divergence the mirror's monitor has already torn its
+        region down for (relaxed lockstep: reported at the next sync or
+        region end)."""
+        self.alarm = report
         self._dead = True
-        if self.monitor.region is not None:
-            # tears the mirror region down and logs the alarm on the
-            # mirror host's own log (the host-1 operational record)
-            self.monitor.abort_region(report)
 
     def _send_verdict(self, seq: int, ok: bool,
                       alarm: Optional[DivergenceReport]) -> None:

@@ -59,10 +59,8 @@ def build_minx_cluster(seed: str = "smvx-cluster",
             cluster, (leader, mirror), capacity,
             {"app": "minx-cluster", "seed": seed,
              "latency_ns": latency_ns, "protect": protect,
-             "fault_schedule": (fault_schedule.as_dict()
-                                if fault_schedule is not None
-                                and hasattr(fault_schedule, "as_dict")
-                                else None)})
+             "fault_schedule": (fault_schedule.to_dict()
+                                if fault_schedule is not None else None)})
     if fault_schedule is not None:
         cluster.install_link_faults(fault_schedule)
     if start:
@@ -94,7 +92,9 @@ def build_littled_cluster(seed: str = "smvx-cluster",
             cluster, (leader, mirror), capacity,
             {"app": "littled-cluster", "seed": seed,
              "latency_ns": latency_ns, "protect": protect,
-             "workers": workers})
+             "workers": workers,
+             "fault_schedule": (fault_schedule.to_dict()
+                                if fault_schedule is not None else None)})
     if fault_schedule is not None:
         cluster.install_link_faults(fault_schedule)
     if start:

@@ -25,8 +25,8 @@ run bit-deterministic, which the virtual-time benchmarks rely on.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.divergence import CallRecord, DivergenceKind, DivergenceReport
 from repro.errors import MvxDivergence, MvxError
@@ -54,18 +54,16 @@ class LibcResult:
     #: True when the call is LOCAL-category: the follower must execute it
     #: itself against its own memory instead of consuming emulated state.
     execute_locally: bool = False
-    #: (follower_address, bytes) pairs the monitor already wrote — recorded
-    #: for inspection/accounting.
-    buffers_copied: Tuple[Tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass
 class CallEvent:
-    """One intercepted libc call, flattened for shipping over a cluster
-    link (``repro.cluster.wire``): the leader-side :class:`CallRecord`
-    plus everything the remote monitor needs to emulate the call for its
-    follower — retval/errno and the bytes of every output buffer the call
-    produced in the leader's memory.
+    """One libc call the leader executed, as ``SmvxMonitor.capture``
+    flattens it: the leader-side :class:`CallRecord` plus everything a
+    monitor needs to emulate the call for its follower — retval/errno and
+    the bytes of every output buffer the call produced in the leader's
+    memory.  In process it goes straight to ``SmvxMonitor.publish``;
+    distributed, it crosses a cluster link (``repro.cluster.wire``).
 
     ``sync`` marks a security-sensitive call: the leader flushes the
     batch and waits for the remote verdict *before* executing it (the
@@ -127,8 +125,8 @@ class LockstepChannel:
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._baton = LEADER
-        self._pending: Dict[str, Optional[CallRecord]] = {
-            LEADER: None, FOLLOWER: None}
+        #: the follower's call, posted and not yet taken by the leader.
+        self._follower_call: Optional[CallRecord] = None
         self._result: Optional[LibcResult] = None
         self.status: Dict[str, VariantStatus] = {
             LEADER: VariantStatus(), FOLLOWER: VariantStatus()}
@@ -175,17 +173,16 @@ class LockstepChannel:
         """Post the leader's call, release the follower, wait for its
         matching record.  Returns the follower's record."""
         with self._cond:
-            self._pending[LEADER] = record
             self.status[LEADER].calls_made += 1
             self._give_baton(FOLLOWER)
             self._wait_for(
-                lambda: (self._pending[FOLLOWER] is not None
+                lambda: (self._follower_call is not None
                          or self.status[FOLLOWER].done
                          or self.divergence is not None),
                 LEADER)
             if self.divergence is not None:
                 raise MvxDivergence(self.divergence)
-            if self._pending[FOLLOWER] is None:
+            if self._follower_call is None:
                 # follower finished without making this call
                 status = self.status[FOLLOWER]
                 kind = (DivergenceKind.FOLLOWER_FAULT if status.fault
@@ -198,8 +195,8 @@ class LockstepChannel:
                     task_id=status.fault_task, guest_pc=status.fault_pc)
                 self._flag_divergence(report)
                 raise MvxDivergence(report)
-            follower_record = self._pending[FOLLOWER]
-            self._pending[FOLLOWER] = None
+            follower_record = self._follower_call
+            self._follower_call = None
             self.rendezvous_count += 1
             return follower_record
 
@@ -207,7 +204,6 @@ class LockstepChannel:
         """Publish the executed call's result; the baton stays with the
         leader (the follower picks the result up at the next handoff)."""
         with self._cond:
-            self._pending[LEADER] = None
             self._result = result
             self._cond.notify_all()
 
@@ -252,7 +248,7 @@ class LockstepChannel:
                     f"({record.name}) after the leader finished")
                 self._flag_divergence(report)
                 raise MvxDivergence(report)
-            self._pending[FOLLOWER] = record
+            self._follower_call = record
             self.status[FOLLOWER].calls_made += 1
             self._result = None
             self._give_baton(LEADER)

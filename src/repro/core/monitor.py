@@ -22,8 +22,8 @@ At runtime the monitor implements the ``mvx_init``/``mvx_start``/
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.divergence import (
     AlarmLog,
@@ -35,6 +35,7 @@ from repro.core.divergence import (
 from repro.core.ipc import (
     FOLLOWER,
     LEADER,
+    CallEvent,
     LibcResult,
     LockstepChannel,
     LockstepTimeout,
@@ -66,6 +67,17 @@ from repro.process.context import GuestContext, to_signed
 from repro.process.process import GuestProcess, GuestThread
 
 _MASK64 = (1 << 64) - 1
+
+
+#: Table 1's row for every libc call; a call the table does not list
+#: runs LOCAL.
+_SPECS: Dict[str, EmulationSpec] = {
+    name: spec_for(name) or EmulationSpec(name, Category.LOCAL)
+    for name in LIBC_FUNCTIONS}
+#: the LOCAL calls, as a set: every leader call asks, and on Python 3.11
+#: reading ``Category.LOCAL`` costs as much as building a small object.
+_LOCAL_CALLS = frozenset(name for name, spec in _SPECS.items()
+                         if spec.category is Category.LOCAL)
 
 
 @dataclass
@@ -516,123 +528,153 @@ class SmvxMonitor:
         return int(result or 0) & _MASK64
 
     # -- leader side ----------------------------------------------------------
+    #
+    # One lockstep protocol (§3.3) for every deployment: ``rendezvous``
+    # before the leader runs a call, ``capture`` once it has run, and
+    # ``publish`` into the follower.  In process, ``_leader_call`` runs all
+    # three; distributed, the leader host ships ``capture``'s event and
+    # the mirror host runs ``rendezvous`` and ``publish`` on it.
 
     def _leader_call(self, ctx: GuestContext, thread: GuestThread,
                      name: str, args: List[int]) -> int:
         region = self.region
-        spec = spec_for(name) or EmulationSpec(name, Category.LOCAL)
         region.leader_seq += 1
         record = CallRecord(region.leader_seq, name, tuple(args), LEADER)
         self.stats.leader_calls += 1
         self.process.charge(self.costs.rendezvous_ns, "smvx-rendezvous")
         for tap in self.call_taps:
             tap(LEADER, record)
-
+        follower = self.rendezvous(record, thread.tid, thread.state.regs.rip)
+        retval = self._execute_libc(thread, name, args)
+        # counted before capture: a call whose capture faults still counts
+        if name in _LOCAL_CALLS:
+            self.stats.local_calls += 1
+        else:
+            self.stats.emulated_calls += 1
         try:
-            follower_record = region.channel.leader_announce(record)
+            event = self.capture(record, retval, thread, follower)
+        except MachineFault as fault:
+            raise self._emulation_fault(record.seq, name, fault) from fault
+        self.publish(event, follower)
+        return retval
+
+    def rendezvous(self, record: CallRecord, task: int,
+                   pc: int) -> CallRecord:
+        """Announce the leader's call, wait for the follower's, and
+        compare them.  A divergence, stamped with the leader's ``task``
+        and guest ``pc``, tears the region down and is raised.  Returns
+        the follower's record."""
+        channel = self.region.channel
+        try:
+            follower = channel.leader_announce(record)
         except MvxDivergence as divergence:
             self._teardown_region(alarm=divergence.report)
             raise
-
-        report = compare_calls(record, follower_record, spec.pointer_args)
+        report = compare_calls(record, follower,
+                               _SPECS[record.name].pointer_args)
         if report is not None:
-            report = replace(report, task_id=thread.tid,
-                             guest_pc=thread.state.regs.rip)
-            region.channel.leader_abort(report)
-            self._teardown_region(alarm=report)
+            report = replace(report, task_id=task, guest_pc=pc)
+            self.abort_region(report)
             raise MvxDivergence(report)
+        return follower
 
-        if spec.category is Category.LOCAL:
-            retval = self._execute_libc(thread, name, args)
-            self.stats.local_calls += 1
-            region.channel.leader_publish(LibcResult(
-                record.seq, retval, thread.errno, execute_locally=True))
-            return retval
-
-        retval = self._execute_libc(thread, name, args)
-        self.stats.emulated_calls += 1
-        try:
-            follower_ret, copied = self._emulate_for_follower(
-                spec, retval, record, follower_record)
-        except MachineFault as fault:
-            report = self.emulation_fault(record.seq, name, fault)
-            region.channel.leader_abort(report)
-            self._teardown_region(alarm=report)
-            raise MvxDivergence(report)
-        region.channel.leader_publish(LibcResult(
-            record.seq, follower_ret, thread.errno,
-            buffers_copied=tuple(copied)))
-        return retval
-
-    def emulation_fault(self, seq: int, name: str,
-                        fault: MachineFault) -> DivergenceReport:
-        """The alarm for a fault while writing call ``seq``'s result into
-        the follower's memory (its buffer lies in an unmapped page): a
-        follower fault, reported at the call rather than left for the
-        follower to wait out."""
-        return DivergenceReport(
-            DivergenceKind.FOLLOWER_FAULT, seq, name,
-            f"emulating {name} into the follower: "
-            f"{type(fault).__name__}: {fault}",
-            task_id=self.region.variant.thread.tid, guest_pc=fault.address)
-
-    def _emulate_for_follower(self, spec: EmulationSpec, retval: int,
-                              leader: CallRecord, follower: CallRecord
-                              ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Copy output buffers into the follower's memory and translate a
-        pointer-valued return (paper §3.3 + the §3.3 'special' cases).
-
-        Reads come from the leader's view, writes go through the
-        follower's own view — under the aligned-variant strategy the same
-        numeric address names *different* pages in the two views."""
-        space = self.process.space
-        follower_space = self.region.variant.thread.space
-        region = self.region
-        copied: List[Tuple[int, int]] = []
-        signed_ret = to_signed(retval)
-
-        if signed_ret >= 0:
+    def capture(self, record: CallRecord, retval: int, thread: GuestThread,
+                follower: Optional[CallRecord] = None) -> CallEvent:
+        """Flatten the call the leader just executed into a
+        :class:`CallEvent`: retval, errno and the bytes of every output
+        buffer it filled in the leader's memory (paper §3.3).  Given the
+        ``follower``'s record (in process), a buffer it passed NULL for is
+        not read: nothing is written for it."""
+        spec = _SPECS[record.name]
+        local = record.name in _LOCAL_CALLS
+        buffers = []
+        signed = to_signed(retval)
+        if not local and signed >= 0:
+            space = self.process.space
             for buffer in spec.out_buffers:
-                if buffer.arg_index >= len(leader.args):
+                index = buffer.arg_index
+                if index >= len(record.args):
                     continue
-                leader_ptr = leader.args[buffer.arg_index]
-                follower_ptr = follower.args[buffer.arg_index]
-                if leader_ptr == 0 or follower_ptr == 0:
+                pointer = record.args[index]
+                if pointer == 0 or (follower is not None
+                                    and follower.args[index] == 0):
                     continue
                 if buffer.size is BufSize.RETVAL:
-                    size = signed_ret
+                    size = signed
                 elif buffer.size is BufSize.RETVAL_TIMES:
-                    size = signed_ret * buffer.fixed_size
+                    size = signed * buffer.fixed_size
                 else:
                     size = buffer.fixed_size
                 if size <= 0:
                     continue
-                if spec.category is Category.SPECIAL and spec.name == "ioctl":
+                if spec.name == "ioctl" and not space.is_mapped(pointer):
                     # pointer-in-address-space heuristic (paper §3.3)
-                    if not space.is_mapped(leader_ptr):
-                        continue
-                data = space.read(leader_ptr, size, privileged=True)
-                follower_space.write(follower_ptr, data, privileged=True)
-                copied.append((follower_ptr, size))
-                self.stats.bytes_copied += size
-                self.process.charge(size * self.costs.ipc_copy_byte_ns,
-                                    "smvx-ipc-copy")
-            if spec.name in ("epoll_wait", "epoll_pwait") and signed_ret > 0:
-                self._translate_epoll_data(follower.args[1], signed_ret)
+                    continue
+                buffers.append((index,
+                                space.read(pointer, size, privileged=True)))
+        # all positional (``sync`` is False): keyword arguments would make
+        # this, on every leader call in process, twice as costly
+        return CallEvent(record.seq, record.name, record.args, retval,
+                         thread.errno, local, tuple(buffers), False,
+                         thread.tid, thread.state.regs.rip)
 
-        follower_ret = retval
-        if spec.retval_is_pointer:
+    def publish(self, event: CallEvent, follower: CallRecord) -> None:
+        """Hand the leader's call ``event`` to the follower that made
+        call ``follower``: a LOCAL call is re-run by the follower itself;
+        otherwise write the captured bytes through the follower's own
+        view (under the aligned strategy the same numeric address names
+        *different* pages in the two views), translate epoll data and a
+        pointer return, and publish the result.  A fault while writing
+        is the follower's, reported at once."""
+        channel = self.region.channel
+        if event.execute_locally:
+            channel.leader_publish(LibcResult(event.seq, event.retval,
+                                              event.errno, True))
+            return
+        try:
+            space = self.region.variant.thread.space
+            for index, data in event.buffers:
+                pointer = follower.args[index]
+                if pointer == 0:
+                    continue
+                space.write(pointer, data, privileged=True)
+                self.stats.bytes_copied += len(data)
+                self.process.charge(len(data) * self.costs.ipc_copy_byte_ns,
+                                    "smvx-ipc-copy")
+            count = to_signed(event.retval)
+            if event.name in ("epoll_wait", "epoll_pwait") and count > 0:
+                self._translate_epoll_data(follower.args[1], count)
+        except MachineFault as fault:
+            raise self._emulation_fault(event.seq, event.name,
+                                        fault) from fault
+        retval = event.retval
+        if _SPECS[event.name].retval_is_pointer:
             # a pointer return usually aliases one of the arguments
             # (localtime_r returns its result buffer); map positionally,
             # else fall back to old-range relocation.
-            follower_ret = None
-            for index, value in enumerate(leader.args):
-                if value == retval and index < len(follower.args):
-                    follower_ret = follower.args[index]
+            retval = None
+            for index, value in enumerate(event.args):
+                if value == event.retval:
+                    retval = follower.args[index]
                     break
-            if follower_ret is None:
-                follower_ret = region.relocator.relocate_value(retval)
-        return follower_ret & _MASK64, copied
+            if retval is None:
+                retval = self.region.relocator.relocate_value(event.retval)
+        channel.leader_publish(LibcResult(event.seq, retval & _MASK64,
+                                          event.errno))
+
+    def _emulation_fault(self, seq: int, name: str,
+                         fault: MachineFault) -> MvxDivergence:
+        """Tear the region down for a fault while emulating call ``seq``
+        into the follower (its buffer lies in an unmapped page) and return
+        the divergence to raise: a follower fault, reported at the call
+        rather than left for the follower to wait out."""
+        report = DivergenceReport(
+            DivergenceKind.FOLLOWER_FAULT, seq, name,
+            f"emulating {name} into the follower: "
+            f"{type(fault).__name__}: {fault}",
+            task_id=self.region.variant.thread.tid, guest_pc=fault.address)
+        self.abort_region(report)
+        return MvxDivergence(report)
 
     def _translate_epoll_data(self, follower_events: int, count: int) -> None:
         """epoll_data is a union; when a value looks like a pointer into
@@ -662,11 +704,9 @@ class SmvxMonitor:
         result = region.channel.follower_announce(record)
         if result.execute_locally:
             mine = self._execute_libc(thread, name, args)
-            spec = spec_for(name)
             # paper §3.3: return values are lockstep-checked too; pointer
             # returns legitimately differ between layouts and are skipped
-            if (spec is None or not spec.retval_is_pointer) \
-                    and mine != result.retval:
+            if not _SPECS[name].retval_is_pointer and mine != result.retval:
                 report = DivergenceReport(
                     DivergenceKind.RETVAL, record.seq, name,
                     f"local call returned {mine:#x} in the follower vs "

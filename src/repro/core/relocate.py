@@ -61,10 +61,6 @@ class RelocationReport:
     def total_pointers(self) -> int:
         return sum(scan.pointers_found for scan in self.scans)
 
-    @property
-    def total_time_ns(self) -> float:
-        return sum(scan.time_ns for scan in self.scans)
-
     def scan_named(self, region: str) -> Optional[ScanStats]:
         for scan in self.scans:
             if scan.region == region:

@@ -25,7 +25,7 @@ signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import build_callgraph
 from repro.errors import MvxSetupError
@@ -70,10 +70,6 @@ class VariantReport:
     def pages_copied(self) -> int:
         return (self.text_pages_copied + self.support_pages_copied
                 + self.heap_pages_copied)
-
-    @property
-    def follower_rss_bytes(self) -> int:
-        return self.pages_copied * PAGE_SIZE
 
 
 @dataclass

@@ -51,24 +51,12 @@ class AlignmentFault(MachineFault):
     """A word access that is not naturally aligned (the machine requires it)."""
 
 
-class DoubleFault(MachineFault):
-    """A fault raised while already handling a fault (kills the task)."""
-
-
 # ---------------------------------------------------------------------------
 # Kernel-level errors
 # ---------------------------------------------------------------------------
 
 class KernelError(ReproError):
     """Base class for simulated-kernel failures (not guest-visible errno)."""
-
-
-class NoSuchTask(KernelError):
-    pass
-
-
-class ResourceExhausted(KernelError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ CONTROL_FLOW_OPS = frozenset({
     Op.JAE, Op.CALL, Op.CALL_R, Op.RET, Op.HLT, Op.SYSCALL,
 })
 
-_VALID_OPS = {int(op) for op in Op}
-
 #: opcode byte -> Op member; a plain dict lookup is several times faster
 #: than ``Op(opcode)`` (which routes through EnumMeta.__call__) and
 #: decode is on the interpreter's fetch path.
@@ -159,7 +157,3 @@ class Instruction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Instruction {self.text()}>"
-
-
-def is_valid_opcode(byte: int) -> bool:
-    return byte in _VALID_OPS

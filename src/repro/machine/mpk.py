@@ -91,9 +91,6 @@ class PkeyAllocator:
             raise ValueError(f"protection key {pkey} is not allocated")
         self._allocated.discard(pkey)
 
-    def is_allocated(self, pkey: int) -> bool:
-        return pkey in self._allocated
-
     @property
     def allocated(self) -> frozenset:
         return frozenset(self._allocated)

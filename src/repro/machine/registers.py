@@ -9,7 +9,7 @@ preserve ``rbx`` across its ``callq *%rbx`` (paper §3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 GP_REGISTERS = (
     "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
@@ -50,10 +50,6 @@ class RegisterFile:
             raise KeyError(f"unknown register {name!r}")
         self._regs[name] = value & _MASK64
 
-    def get_signed(self, name: str) -> int:
-        value = self.get(name)
-        return value - (1 << 64) if value >> 63 else value
-
     def snapshot(self) -> Dict[str, int]:
         state = dict(self._regs)
         state["rip"] = self.rip
@@ -65,15 +61,6 @@ class RegisterFile:
             self._regs[name] = state[name] & _MASK64
         self.rip = state["rip"]
         self.flags = state["flags"]
-
-    def set_args(self, args: Iterable[int]) -> None:
-        """Place integer arguments per the SysV convention (first six)."""
-        args = list(args)
-        if len(args) > len(ARG_REGISTERS):
-            raise ValueError(
-                "more than six register arguments; the rest go on the stack")
-        for name, value in zip(ARG_REGISTERS, args):
-            self.set(name, value)
 
     # flag helpers -----------------------------------------------------------
 

@@ -121,9 +121,6 @@ class Heap:
     def owns(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
 
-    def live_allocations(self) -> Dict[int, int]:
-        return dict(self._allocated)
-
     def clone_bookkeeping(self, shift: int) -> "dict":
         """Allocator metadata for a shifted copy of this heap region."""
         return {

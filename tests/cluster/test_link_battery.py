@@ -3,7 +3,11 @@ drop/retransmit, reorder, and partition schedules must inject faults
 without ever producing a spurious divergence (the link is a reliable
 in-order transport; faults only move delivery times)."""
 
-from repro.cluster.scenarios import run_distributed_ab, run_link_battery
+from repro.cluster.scenarios import (
+    build_littled_cluster,
+    run_distributed_ab,
+    run_link_battery,
+)
 from repro.kernel.faults import FaultSchedule, battery
 
 
@@ -50,3 +54,22 @@ def test_faulted_run_still_replays_bit_identically():
     for host_id, (want, got) in enumerate(zip(first, second)):
         assert want == got, f"host{host_id} footer diverged"
     assert first[0]["wire_digest"] == second[0]["wire_digest"]
+
+
+def test_recorded_cluster_traces_keep_their_link_fault_schedule():
+    """``build_minx_cluster`` and ``build_littled_cluster`` store the
+    schedule in every host trace's meta, in the form
+    ``FaultSchedule.from_dict`` rebuilds; a run without one stores None."""
+    schedule = FaultSchedule(name="mix", link_delay_p=0.4,
+                             link_delay_ns=80_000)
+    minx = run_distributed_ab(seed="x", fault_schedule=schedule,
+                              requests=1, record=True)["traces"]
+    littled = build_littled_cluster(seed="x", fault_schedule=schedule,
+                                    record=True).finish()
+    for traces in (minx, littled):
+        assert len(traces) == 2
+        for trace in traces:
+            meta = trace.meta["scenario"]["fault_schedule"]
+            assert FaultSchedule.from_dict(meta) == schedule
+    for trace in build_littled_cluster(seed="x", record=True).finish():
+        assert trace.meta["scenario"]["fault_schedule"] is None
