@@ -272,13 +272,18 @@ def spawn_worker_kill(server: LittledServer, slot: int,
     """Chaos helper: a coreless task that cancels worker ``slot``'s task
     at virtual instant ``at_ns`` — the deterministic stand-in for a
     worker segfault mid-load.  Shared by the recorder and the replayer so
-    supervised-kill runs reproduce exactly."""
+    supervised-kill runs reproduce exactly.  ``server.shutdown()``
+    cancels a kill whose instant has not come, and a cancelled kill
+    leaves its victim alone."""
     sched = server.sched
     victim = server.workers[slot]
 
     def chaos() -> None:
         sched.park(deadline_ns=at_ns)
+        if sched.current.cancelled:
+            return                   # the run ended before the kill slot
         if victim.task is not None and not victim.task.done:
             sched.cancel(victim.task)
 
-    sched.spawn(f"{server.name}-chaos-kill-w{slot}", chaos)
+    server.chaos_kills += (
+        sched.spawn(f"{server.name}-chaos-kill-w{slot}", chaos),)

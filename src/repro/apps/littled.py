@@ -657,9 +657,11 @@ class LittledServer:
             "conn_cap": max(0, conn_cap),
         }
         #: retired workers (drained generations, crashed processes kept
-        #: for post-mortem accounting) and the attached control plane
+        #: for post-mortem accounting), the attached control plane and
+        #: its chaos worker-kill tasks
         self.retired: list = []
         self.supervisor = None
+        self.chaos_kills: tuple = ()
 
         if self.workers_n:
             from repro.kernel.sched import DEFAULT_QUANTUM_NS, Scheduler
@@ -747,6 +749,13 @@ class LittledServer:
         drop), then reap every zombie so the task table ends clean."""
         if not self.workers_n:
             return
+        # a chaos kill still parked before its instant must not fire
+        # into the shutdown, nor stay parked on its host thread
+        pending = [task for task in self.chaos_kills if not task.done]
+        for task in pending:
+            self.sched.cancel(task)
+        if pending:
+            self.sched.run_until(tasks=pending)
         if self.supervisor is not None:
             # the supervisor must stand down first, or it would read the
             # shutdown cancellations as crashes and restart the fleet

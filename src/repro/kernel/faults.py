@@ -5,15 +5,23 @@ degenerate I/O (the CVE-2013-2028 attacker deliberately paces request
 bytes, §2.2), yet a simulated kernel that only ever exercises the happy
 path cannot witness the retry/partial-I/O behaviour real servers live
 with.  This module is the adversarial-schedule plane: per *fault
-schedule* it can
+schedule* it can inject twelve kinds of fault:
 
-* shorten reads and writes (``read``/``write``/``recvfrom``/``sendto``
-  transfer fewer bytes than asked);
-* return ``EINTR`` or a spurious ``EAGAIN`` before retry-able syscalls;
-* exhaust resources (``EMFILE``/``ENOMEM`` on ``open``);
-* segment socket deliveries and add per-segment extra delay (attacker-
-  style pacing applied to *every* stream);
-* cap listener backlogs so connects overflow into ``ECONNREFUSED``.
+* ``short_read``/``short_write``: ``read``/``recvfrom`` and
+  ``write``/``sendto`` transfer fewer bytes than asked;
+* ``eintr`` before retry-able syscalls, ``eagain`` (spurious) before
+  ``recvfrom``/``accept4``;
+* ``emfile``/``enomem``: resource exhaustion on ``open``;
+* ``segment``: socket deliveries split into late-arriving pieces
+  (attacker-style pacing applied to *every* stream);
+* ``spurious_wake``: a parked scheduler task woken with nothing ready;
+* ``link_delay``, ``link_drop`` (retransmitted one RTO later),
+  ``link_reorder`` and ``link_partition`` on a cluster link's frames,
+  all latency-only (each ``repro.cluster.link.ClusterLink`` owns its
+  own plane).
+
+It can also cap listener backlogs so connects overflow into
+``ECONNREFUSED``.
 
 Every decision is drawn from a SHA-256 counter stream keyed by the
 kernel's seed plus the schedule name, exactly like ``/dev/urandom``
@@ -28,13 +36,29 @@ fault stream.
 The plane is inert by default: ``Kernel`` creates one with no schedule
 installed and the syscall hot path pays a single attribute test.
 
-Schedules come in two forms.  *Probabilistic* schedules draw per
-opportunity from the counter stream, as above.  *Plan* schedules
-(``FaultSchedule(plan=[...])``) list explicit ``(kind, nth-opportunity)``
-events: the plane counts opportunities at every injection site either
-way, so a failing probabilistic run's ``injected_events`` convert
-one-for-one into a plan (:meth:`FaultSchedule.plan_from_events`) whose
-event list `repro.sim`'s shrinker can then bisect deterministically.
+Schedules come in two forms, and one decision serves both.  Each
+injection site counts its opportunity (the nth ``open``, retry-able
+syscall, transfer, delivery, park or link frame) and asks
+``FaultPlane._fires`` whether that ``(kind, nth, target)`` fires.  A
+*probabilistic* schedule answers from its fields: every Nth opportunity
+for ``emfile``, ``enomem`` and ``link_partition``, every delivery for
+``segment`` while ``segment_bytes`` is set, and a draw from the counter
+stream under the kind's probability for the other eight (no draw when
+it is zero, so an unarmed kind leaves the stream alone).  A *plan*
+schedule (``FaultSchedule(plan=[...])``) answers with its explicit
+``{kind, nth, ...}`` entry and ignores the probabilistic fields; an
+entry naming a ``target`` matches only that link.  The site takes its
+parameters (``granted``, ``size``/``delay_ns``, ``extra_ns``) from the
+entry, else from the schedule.
+
+Since both forms count the same opportunities, a failing probabilistic
+run's ``injected_events`` convert one-for-one into a plan
+(:meth:`FaultSchedule.plan_from_events`) that replays the same faults,
+and whose event list `repro.sim`'s shrinker can bisect
+deterministically.  A host plane's plan also replays the same
+``digest``.  A link plane's does not: a planned link event records only
+the delay it adds (``extra_ns``), not the schedule figure behind it
+(``held_ns``, ``delay_ns``, ``rto_ns`` and ``nbytes``, ``late_ns``).
 """
 
 from __future__ import annotations
@@ -255,7 +279,6 @@ class FaultPlane:
         self.active = False
         self._counter = 0
         self._suspend_depth = 0
-        self._opens = 0
         self.injected_total = 0
         self.injected_by_kind: Dict[str, int] = {}
         #: per-kind opportunity counters, incremented at every injection
@@ -281,7 +304,6 @@ class FaultPlane:
         decision stream, so install+workload is reproducible."""
         self.schedule = schedule
         self._counter = 0
-        self._opens = 0
         self.injected_total = 0
         self.injected_by_kind = {}
         self._opps = {}
@@ -339,17 +361,30 @@ class FaultPlane:
         self._opps[kind] = nth
         return nth
 
-    def _planned(self, kind: str, nth: int,
-                 target: Optional[str] = None) -> Optional[Dict]:
-        """The plan entry for this (kind, nth) opportunity, if any.
-        Entries carrying a ``target`` (link names) only match that
-        target; untargeted entries match anywhere."""
-        if self._plan is None:
+    def _fires(self, kind: str, nth: int, chance: float = 0.0,
+               every: int = 0, target: Optional[str] = None
+               ) -> Optional[Dict]:
+        """The one injection decision: does opportunity ``nth`` of
+        ``kind`` fire?  None if not; otherwise what to inject it with.
+
+        A plan fires exactly its entries and answers with the entry;
+        one that names a ``target`` (a link) matches only that target.
+        A probabilistic schedule fires every ``every``-th opportunity
+        if ``every`` is set, else with probability ``chance``, drawing
+        only when ``chance`` is non-zero (so a schedule that leaves a
+        kind unarmed keeps its historical stream), and answers with an
+        empty entry: the site's parameters then come from the
+        schedule."""
+        if self._plan is not None:
+            for entry in self._plan.get((kind, nth), ()):
+                want = entry.get("target")
+                if want is None or want == target:
+                    return entry
             return None
-        for entry in self._plan.get((kind, nth), ()):
-            want = entry.get("target")
-            if want is None or want == target:
-                return entry
+        if every:
+            return {} if nth % every == 0 else None
+        if chance and self._draw() < chance:
+            return {}
         return None
 
     @property
@@ -368,41 +403,25 @@ class FaultPlane:
         schedule = self.schedule
         if schedule is None:
             return None
-        plan = self._plan
         if name == "open":
-            self._opens += 1
-            if plan is not None:
-                if self._planned("emfile", self._opens) is not None:
-                    self._inject("emfile", name, nth=self._opens)
-                    return -Errno.EMFILE
-                if self._planned("enomem", self._opens) is not None:
-                    self._inject("enomem", name, nth=self._opens)
-                    return -Errno.ENOMEM
-            else:
-                if schedule.emfile_every and \
-                        self._opens % schedule.emfile_every == 0:
-                    self._inject("emfile", name, nth=self._opens)
-                    return -Errno.EMFILE
-                if schedule.enomem_every and \
-                        self._opens % schedule.enomem_every == 0:
-                    self._inject("enomem", name, nth=self._opens)
-                    return -Errno.ENOMEM
+            # EMFILE and ENOMEM share one opportunity: the nth open
+            nth = self._opp("open")
+            if self._fires("emfile", nth,
+                           every=schedule.emfile_every) is not None:
+                self._inject("emfile", name, nth=nth)
+                return -Errno.EMFILE
+            if self._fires("enomem", nth,
+                           every=schedule.enomem_every) is not None:
+                self._inject("enomem", name, nth=nth)
+                return -Errno.ENOMEM
         if name in RETRYABLE_SYSCALLS:
             nth = self._opp("eintr")
-            if plan is not None:
-                if self._planned("eintr", nth) is not None:
-                    self._inject("eintr", name, nth=nth)
-                    return -Errno.EINTR
-            elif schedule.eintr_p and self._draw() < schedule.eintr_p:
+            if self._fires("eintr", nth, schedule.eintr_p) is not None:
                 self._inject("eintr", name, nth=nth)
                 return -Errno.EINTR
         if name in EAGAIN_SYSCALLS:
             nth = self._opp("eagain")
-            if plan is not None:
-                if self._planned("eagain", nth) is not None:
-                    self._inject("eagain", name, nth=nth)
-                    return -Errno.EAGAIN
-            elif schedule.eagain_p and self._draw() < schedule.eagain_p:
+            if self._fires("eagain", nth, schedule.eagain_p) is not None:
                 self._inject("eagain", name, nth=nth)
                 return -Errno.EAGAIN
         return None
@@ -413,42 +432,22 @@ class FaultPlane:
         schedule = self.schedule
         if schedule is None or count <= 1:
             return count
-        plan = self._plan
         if name in SHORT_READ_SYSCALLS:
-            nth = self._opp("short_read")
-            if plan is not None:
-                entry = self._planned("short_read", nth)
-                if entry is not None:
-                    clamped = max(1, min(count, entry["granted"]))
-                    if clamped < count:
-                        self._inject("short_read", name, asked=count,
-                                     granted=clamped, nth=nth)
-                    return clamped
-            elif schedule.short_read_p and \
-                    self._draw() < schedule.short_read_p:
-                clamped = max(1, min(count, schedule.short_read_cap))
-                if clamped < count:
-                    self._inject("short_read", name, asked=count,
-                                 granted=clamped, nth=nth)
-                return clamped
-        if name in SHORT_WRITE_SYSCALLS:
-            nth = self._opp("short_write")
-            if plan is not None:
-                entry = self._planned("short_write", nth)
-                if entry is not None:
-                    clamped = max(1, min(count, entry["granted"]))
-                    if clamped < count:
-                        self._inject("short_write", name, asked=count,
-                                     granted=clamped, nth=nth)
-                    return clamped
-            elif schedule.short_write_p and \
-                    self._draw() < schedule.short_write_p:
-                clamped = max(1, min(count, schedule.short_write_cap))
-                if clamped < count:
-                    self._inject("short_write", name, asked=count,
-                                 granted=clamped, nth=nth)
-                return clamped
-        return count
+            kind, chance, cap = ("short_read", schedule.short_read_p,
+                                 schedule.short_read_cap)
+        elif name in SHORT_WRITE_SYSCALLS:
+            kind, chance, cap = ("short_write", schedule.short_write_p,
+                                 schedule.short_write_cap)
+        else:
+            return count
+        nth = self._opp(kind)
+        entry = self._fires(kind, nth, chance)
+        if entry is None:
+            return count
+        clamped = max(1, min(count, entry.get("granted", cap)))
+        if clamped < count:
+            self._inject(kind, name, asked=count, granted=clamped, nth=nth)
+        return clamped
 
     def segment_delivery(self, data: bytes
                          ) -> Optional[List[Tuple[bytes, int]]]:
@@ -459,16 +458,12 @@ class FaultPlane:
         if schedule is None:
             return None
         nth = self._opp("segment")
-        if self._plan is not None:
-            entry = self._planned("segment", nth)
-            if entry is None:
-                return None
-            size, delay_ns = entry["size"], entry["delay_ns"]
-        elif schedule.segment_bytes:
-            size, delay_ns = (schedule.segment_bytes,
-                              schedule.segment_extra_delay_ns)
-        else:
+        entry = self._fires("segment", nth,
+                            every=1 if schedule.segment_bytes else 0)
+        if entry is None:
             return None
+        size = entry.get("size", schedule.segment_bytes)
+        delay_ns = entry.get("delay_ns", schedule.segment_extra_delay_ns)
         if len(data) <= size:
             return None
         pieces = [(bytes(data[i:i + size]), (i // size) * delay_ns)
@@ -486,17 +481,11 @@ class FaultPlane:
         if schedule is None:
             return False
         nth = self._opp("spurious_wake")
-        if self._plan is not None:
-            if self._planned("spurious_wake", nth) is not None:
-                self._inject("spurious_wake", "park", nth=nth)
-                return True
+        if self._fires("spurious_wake", nth,
+                       schedule.spurious_wake_p) is None:
             return False
-        if not schedule.spurious_wake_p:
-            return False
-        if self._draw() < schedule.spurious_wake_p:
-            self._inject("spurious_wake", "park", nth=nth)
-            return True
-        return False
+        self._inject("spurious_wake", "park", nth=nth)
+        return True
 
     def link_frame(self, link: str, frame_seq: int, nbytes: int) -> float:
         """Extra delivery delay (ns) for one wire frame on a cluster
@@ -506,47 +495,34 @@ class FaultPlane:
 
         All four kinds are additive latency on a reliable in-order
         transport — content is never lost, so they can shift verdict
-        arrival times but never fabricate a divergence."""
+        arrival times but never fabricate a divergence.  ``frame_seq``
+        is the per-link opportunity index of every kind."""
         schedule = self.schedule
         if schedule is None:
             return 0.0
         extra = 0.0
-        if self._plan is not None:
-            # frame_seq is the per-link opportunity index: plan entries
-            # for link kinds carry the link name as their target, so a
-            # plan shared across links applies only where it was recorded.
-            for kind in ("link_partition", "link_delay", "link_drop",
-                         "link_reorder"):
-                entry = self._planned(kind, frame_seq, target=link)
-                if entry is not None:
-                    extra += entry["extra_ns"]
-                    self._inject(kind, link, frame=frame_seq,
-                                 extra_ns=entry["extra_ns"],
-                                 nth=frame_seq)
-            return extra
-        if schedule.link_partition_every and \
-                frame_seq % schedule.link_partition_every == 0:
-            extra += schedule.link_partition_ns
-            self._inject("link_partition", link, frame=frame_seq,
-                         held_ns=schedule.link_partition_ns,
-                         extra_ns=schedule.link_partition_ns,
-                         nth=frame_seq)
-        if schedule.link_delay_p and self._draw() < schedule.link_delay_p:
-            extra += schedule.link_delay_ns
-            self._inject("link_delay", link, frame=frame_seq,
-                         delay_ns=schedule.link_delay_ns,
-                         extra_ns=schedule.link_delay_ns, nth=frame_seq)
-        if schedule.link_drop_p and self._draw() < schedule.link_drop_p:
-            extra += schedule.link_rto_ns
-            self._inject("link_drop", link, frame=frame_seq,
-                         rto_ns=schedule.link_rto_ns, nbytes=nbytes,
-                         extra_ns=schedule.link_rto_ns, nth=frame_seq)
-        if schedule.link_reorder_p and \
-                self._draw() < schedule.link_reorder_p:
-            extra += schedule.link_reorder_ns
-            self._inject("link_reorder", link, frame=frame_seq,
-                         late_ns=schedule.link_reorder_ns,
-                         extra_ns=schedule.link_reorder_ns,
+        for kind, chance, every, scheduled_ns, field_name in (
+                ("link_partition", 0.0, schedule.link_partition_every,
+                 schedule.link_partition_ns, "held_ns"),
+                ("link_delay", schedule.link_delay_p, 0,
+                 schedule.link_delay_ns, "delay_ns"),
+                ("link_drop", schedule.link_drop_p, 0,
+                 schedule.link_rto_ns, "rto_ns"),
+                ("link_reorder", schedule.link_reorder_p, 0,
+                 schedule.link_reorder_ns, "late_ns")):
+            entry = self._fires(kind, frame_seq, chance, every, link)
+            if entry is None:
+                continue
+            extra_ns = entry.get("extra_ns")
+            detail: Dict = {"frame": frame_seq}
+            if extra_ns is None:
+                # the schedule's figure, under its own name; a planned
+                # event carries only the delay it recorded
+                extra_ns = detail[field_name] = scheduled_ns
+                if kind == "link_drop":
+                    detail["nbytes"] = nbytes
+            extra += extra_ns
+            self._inject(kind, link, **detail, extra_ns=extra_ns,
                          nth=frame_seq)
         return extra
 

@@ -134,6 +134,8 @@ class Recorder:
         self._wire_bytes = 0
         self._lamport_max = 0
         self._extra_procs: List = []
+        #: every monitor whose call_taps carry ``_on_rendezvous``
+        self._monitors: List = []
 
         self._install_kernel_taps()
 
@@ -176,12 +178,8 @@ class Recorder:
             if worker.process is not self.process:
                 worker.process.libc_call_observers.append(self._on_libc)
                 self._extra_procs.append(worker.process)
-            monitor = worker.monitor
-            if monitor is not None and monitor is not server.monitor:
-                monitor.call_taps.append(self._on_rendezvous)
-        monitor = getattr(server, "monitor", None)
-        if monitor is not None:
-            monitor.call_taps.append(self._on_rendezvous)
+            self._tap_monitor(worker.monitor)
+        self._tap_monitor(getattr(server, "monitor", None))
         alarms = getattr(server, "alarms", None)
         if alarms is not None:
             alarms.listeners.append(self._on_alarm)
@@ -196,24 +194,25 @@ class Recorder:
         tapped exactly like the original fleet — libc observers on the
         new process, the rendezvous stream of its monitor."""
         self.supervisor = supervisor
+        supervisor.metrics_hook = self._on_metric_sample
+        supervisor.worker_hooks.append(self._on_worker)
 
-        def on_sample(sample: Dict) -> None:
-            self.ring.emit(EventKind.METRIC, self._now, "control-plane",
-                           **sample)
+    def _on_metric_sample(self, sample: Dict) -> None:
+        self.ring.emit(EventKind.METRIC, self._now, "control-plane",
+                       **sample)
 
-        def on_worker(worker) -> None:
-            process = worker.process
-            if process is not self.process \
-                    and process not in self._extra_procs:
-                process.libc_call_observers.append(self._on_libc)
-                self._extra_procs.append(process)
-            monitor = worker.monitor
-            if monitor is not None \
-                    and self._on_rendezvous not in monitor.call_taps:
-                monitor.call_taps.append(self._on_rendezvous)
+    def _on_worker(self, worker) -> None:
+        process = worker.process
+        if process is not self.process \
+                and process not in self._extra_procs:
+            process.libc_call_observers.append(self._on_libc)
+            self._extra_procs.append(process)
+        self._tap_monitor(worker.monitor)
 
-        supervisor.metrics_hook = on_sample
-        supervisor.worker_hooks.append(on_worker)
+    def _tap_monitor(self, monitor) -> None:
+        if monitor is not None and monitor not in self._monitors:
+            monitor.call_taps.append(self._on_rendezvous)
+            self._monitors.append(monitor)
 
     def attach_process(self, process) -> None:
         self.process = process
@@ -260,6 +259,18 @@ class Recorder:
         for proc in self._extra_procs:
             if self._on_libc in proc.libc_call_observers:
                 proc.libc_call_observers.remove(self._on_libc)
+        for monitor in self._monitors:
+            if self._on_rendezvous in monitor.call_taps:
+                monitor.call_taps.remove(self._on_rendezvous)
+        alarms = getattr(self.server, "alarms", None)
+        if alarms is not None and self._on_alarm in alarms.listeners:
+            alarms.listeners.remove(self._on_alarm)
+        supervisor = self.supervisor
+        if supervisor is not None:
+            if supervisor.metrics_hook == self._on_metric_sample:
+                supervisor.metrics_hook = None
+            if self._on_worker in supervisor.worker_hooks:
+                supervisor.worker_hooks.remove(self._on_worker)
         self.ring.enabled = False
 
     # ------------------------------------------------------------------

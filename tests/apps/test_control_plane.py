@@ -50,6 +50,19 @@ def test_supervisor_restarts_killed_worker_mid_load(kernel):
     server.shutdown()
 
 
+def test_cancelled_kill_leaves_its_victim_alone(kernel):
+    server = LittledServer(kernel, workers=2)
+    server.start()
+    spawn_worker_kill(server, 0, kernel.clock.monotonic_ns + 2_000_000)
+    kill, = server.chaos_kills
+    kernel.sched.cancel(kill)
+    assert kernel.sched.run_until(tasks=[kill]) == "done"
+    assert not server.workers[0].task.cancelled
+    _loaded_run(kernel, server, requests=8, concurrency=2)
+    assert not server.workers[0].task.done     # past the kill instant
+    server.shutdown()
+
+
 def test_restart_budget_is_per_slot_and_final(kernel):
     server = LittledServer(kernel, workers=2)
     server.start()

@@ -89,22 +89,68 @@ def test_plan_granted_never_forges_eof():
     assert plane.clamp_io("read", 10) == 1    # never below one byte
 
 
-def test_plan_from_events_replays_the_probabilistic_stream():
-    schedule = FaultSchedule(name="t", eintr_p=0.3, short_read_p=0.4,
-                             short_read_cap=5)
-    original = FaultPlane(b"seed")
-    original.install(schedule)
-    trace = [(original.before_syscall("read"),
-              original.clamp_io("read", 64)) for _ in range(48)]
-    assert original.injected_total > 0
+HOST_KINDS = {"eintr", "eagain", "emfile", "enomem", "short_read",
+              "short_write", "segment", "spurious_wake"}
+LINK_KINDS = KNOWN_FAULT_KINDS - HOST_KINDS
+HOST_ARMED = dict(eintr_p=0.2, eagain_p=0.3, short_read_p=0.4,
+                  short_read_cap=5, short_write_p=0.4, short_write_cap=7,
+                  emfile_every=4, enomem_every=3, segment_bytes=16,
+                  segment_extra_delay_ns=500, spurious_wake_p=0.3)
+LINK_ARMED = dict(link_delay_p=0.4, link_delay_ns=100_000,
+                  link_drop_p=0.3, link_rto_ns=1_000_000,
+                  link_reorder_p=0.3, link_reorder_ns=50_000,
+                  link_partition_every=5, link_partition_ns=2_000_000)
 
-    plan = FaultSchedule.plan_from_events(original.injected_events)
-    replay = FaultPlane(b"other-seed")       # the seed no longer matters
-    replay.install(plan)
-    replayed = [(replay.before_syscall("read"),
-                 replay.clamp_io("read", 64)) for _ in range(48)]
-    assert replayed == trace
-    assert replay.injected_by_kind == original.injected_by_kind
+
+def _host_run(plane):
+    """Every host injection site, 48 times over."""
+    names = ("read", "open", "recvfrom", "write", "accept4", "sendto")
+    return [(plane.before_syscall(names[i % 6]),
+             plane.clamp_io(names[i % 6], 64),
+             plane.segment_delivery(bytes(range(40))),
+             plane.spurious_wake()) for i in range(48)]
+
+
+def _link_run(plane):
+    return [plane.link_frame("h0->h1", seq, 100) for seq in range(1, 49)]
+
+
+@pytest.mark.parametrize("schedule, kinds", [
+    pytest.param(FaultSchedule(name="t", eintr_p=0.3, short_read_p=0.4,
+                               short_read_cap=5),
+                 {"eintr", "short_read"}, id="two-kinds"),
+    pytest.param(FaultSchedule(name="host", **HOST_ARMED), HOST_KINDS,
+                 id="host-kinds"),
+    pytest.param(FaultSchedule(name="link", **LINK_ARMED), LINK_KINDS,
+                 id="link-kinds"),
+    pytest.param(FaultSchedule(name="all", **HOST_ARMED, **LINK_ARMED),
+                 KNOWN_FAULT_KINDS, id="all-kinds"),
+])
+def test_plan_from_events_replays_the_probabilistic_stream(schedule, kinds):
+    host, link = FaultPlane(b"seed"), FaultPlane(b"seed/link/h0->h1")
+    host.install(schedule)
+    link.install(schedule)
+    host_trace, link_trace = _host_run(host), _link_run(link)
+    assert set(host.injected_by_kind) | set(link.injected_by_kind) == kinds
+
+    # the seed no longer matters: a plan draws nothing
+    host_replay, link_replay = FaultPlane(b"other"), FaultPlane(b"other")
+    host_replay.install(FaultSchedule.plan_from_events(host.injected_events))
+    link_replay.install(FaultSchedule.plan_from_events(link.injected_events))
+
+    # host plane: the same returns, kinds and digest
+    assert _host_run(host_replay) == host_trace
+    assert host_replay.injected_by_kind == host.injected_by_kind
+    assert host_replay.digest == host.digest
+    assert host_replay._counter == 0
+
+    # link plane: the same delays and kinds, but a planned link event
+    # records only the delay it adds (extra_ns), not the schedule figure
+    # behind it (held_ns, delay_ns, rto_ns and nbytes, late_ns), so its
+    # digest differs by design whenever a link fault fired
+    assert _link_run(link_replay) == link_trace
+    assert link_replay.injected_by_kind == link.injected_by_kind
+    assert (link_replay.digest == link.digest) == (not link.injected_total)
 
 
 def test_link_plan_entries_apply_only_to_their_link():

@@ -9,6 +9,7 @@ the footer and compared bit-for-bit.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -79,3 +80,18 @@ def test_tampered_supervisor_pin_is_detected(recorded):
     result = replay_trace(Trace.from_dict(raw))
     assert not result.ok
     assert any("supervisor" in m for m in result.mismatches)
+
+
+def test_shutdown_cancels_a_kill_that_never_came():
+    """A kill scheduled past the end of the run is cancelled by
+    ``shutdown()``: no task stays parked and no host thread is left."""
+    before = set(threading.enumerate())
+    for _ in range(3):
+        kernel, server, recorder = record_littled(
+            workers=2, workload={"requests": 8, "concurrency": 2},
+            control={"worker_kills": [{"slot": 0, "at_ns": 10**12}]})
+        recorder.finish()
+        server.shutdown()
+        assert all(task.done for task in kernel.sched.tasks)
+        assert server.supervisor.restarts_total == 0
+    assert set(threading.enumerate()) <= before

@@ -8,8 +8,15 @@ as divergent, not silently accepted.
 
 import pytest
 
+from repro.attacks import run_exploit
 from repro.kernel import Kernel
-from repro.trace import EventKind, Trace, record_minx, replay_trace
+from repro.trace import (
+    EventKind,
+    Trace,
+    record_littled,
+    record_minx,
+    replay_trace,
+)
 from repro.trace.replay import ReplayUrandom
 from repro.workloads import ApacheBench
 
@@ -127,6 +134,32 @@ def test_detach_stops_recording():
     assert result.status_counts == {200: 1}
     assert recorder.script == before
     assert recorder.ring.emitted == emitted
+
+
+def test_detach_removes_the_alarm_and_rendezvous_taps():
+    kernel, server, recorder = record_minx(protect=PROTECT, smvx=True)
+    recorder.detach()
+    assert run_exploit(server).attack_detected_and_blocked
+    assert recorder._on_alarm not in server.alarms.listeners
+    assert recorder._on_rendezvous not in server.monitor.call_taps
+    assert recorder._pending_capsules == []
+
+
+def test_detach_removes_the_supervisor_and_worker_taps():
+    kernel, server, recorder = record_littled(
+        workers=2, smvx=True, protect="server_main_loop",
+        workload={"requests": 4, "concurrency": 2},
+        control={"worker_kills": [{"slot": 1, "at_ns": 2_000_000}]})
+    supervisor = server.supervisor
+    assert supervisor.restarts_total == 1      # a provisioned worker
+    recorder.detach()
+    assert supervisor.metrics_hook is None
+    assert supervisor.worker_hooks == []
+    for worker in server.workers + server.retired:
+        assert recorder._on_rendezvous not in worker.monitor.call_taps
+        assert recorder._on_libc not in \
+            worker.process.libc_call_observers
+    server.shutdown()
 
 
 def test_mark_annotations_land_in_the_ring():
