@@ -32,8 +32,20 @@ Two interpreters produce identical architectural results:
   happens *before* host callbacks run, so the kernel observes the same
   virtual clock either way.
 
+On the fast tier, :meth:`CPU.run` also retires a whole guest call in one
+step (:meth:`CPU._run_call`): ``JMP_M [slot]`` → ``HLCALL n`` → ``RET``,
+which is ``ctx.libc`` through the PLT, and ``HLCALL n`` → ``RET``, which
+is ``ctx.call`` of an HL function.  It applies exactly the fast loop's
+effects (page checks, MMU accesses, charges, the precision re-check) and
+hands anything else back to the loop: instructions not yet decoded, a
+missing or non-executable page, a ``.got.plt`` slot leading anywhere but
+an ``HLCALL``, a precision consumer attached inside the body, or a return
+slot that does not hold ``until_rip``.
+
 ``CPU.force_slow_path`` (class-wide or per instance) pins the precise
 path; the differential tests use it to prove both interpreters agree.
+The precise path stays the reference for the fast loop and the one-step
+alike.
 """
 
 from __future__ import annotations
@@ -44,7 +56,13 @@ from typing import Callable, List, Optional
 from repro.errors import InvalidInstruction, MachineFault
 from repro.machine.costs import CostModel, CycleCounter, DEFAULT_COSTS
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
-from repro.machine.memory import AddressSpace, PAGE_SIZE, PROT_EXEC, WORD_SIZE
+from repro.machine.memory import (
+    AddressSpace,
+    PAGE_SIZE,
+    PROT_EXEC,
+    WORD_SIZE,
+    _WORD_STRUCT,
+)
 from repro.machine.mpk import PKRU_MASK
 from repro.machine.registers import RegisterFile
 
@@ -410,8 +428,117 @@ class CPU:
                     or self.space._observers or self.counter.listeners):
                 self.step(state)
                 steps += 1
-            else:
+            elif max_steps is not None or not self._run_call(state,
+                                                             until_rip):
                 steps = self._run_fast(state, until_rip, max_steps, steps)
+
+    def _run_call(self, state: ExecState, until_rip: int) -> bool:
+        """Retire the guest call at ``rip`` in one step, if it is one.
+
+        HL code calls through two shapes: ``JMP_M [slot]`` → ``HLCALL n``
+        → ``RET`` (``ctx.libc`` through the PLT, its ``.got.plt`` slot
+        holding an HL stub) and ``HLCALL n`` → ``RET`` (``ctx.call`` of an
+        HL function).  They retire two or three instructions, less work
+        than entering :meth:`_run_fast`.  This applies exactly the effects
+        :meth:`_run_fast` applies to them: the same execute checks on the
+        PLT and stub pages, the same ``read_word`` of the ``.got.plt`` and
+        return slots with the thread's PKRU, ``rip`` advanced before each
+        access, the ``JMP_M`` and ``HLCALL`` charged together before the
+        handler and the ``RET`` after it, and the same precision re-check
+        after the handler.
+
+        Returns False, having changed nothing, unless ``rip`` starts one
+        of the two shapes with every instruction up to the ``HLCALL``
+        already decoded on an executable page; the loop then runs
+        :meth:`_run_fast` from the same ``rip``, and it raises any fault
+        the call takes.  Returns True once the handler has run, with
+        ``rip`` wherever the call got to: ``until_rip`` normally, a
+        smashed return slot's value otherwise.
+        """
+        space = self.space
+        pages = space._pages
+        regs = state.regs
+        rip = regs.rip
+        page = pages.get(rip >> 12)
+        if (page is None or not page.prot & PROT_EXEC
+                or page.decode_cache is None):
+            return False
+        entry = page.decode_cache.get(rip & 0xFFF)
+        if entry is None:
+            return False
+        slot = None
+        if entry[0] == 0x42:              # JMP_M through a .got.plt slot
+            slot = (rip + INSTR_SIZE + entry[3]) & _MASK64
+            got = pages.get(slot >> 12)
+            if got is None or slot % WORD_SIZE:
+                return False
+            plt = rip
+            # a peek, not an access: the read_word below returns the same
+            # word, since every page-table change flushes the TLB
+            rip = _WORD_STRUCT.unpack_from(got.data, slot & 0xFFF)[0]
+            if rip == until_rip:
+                return False
+            page = pages.get(rip >> 12)
+            if (page is None or not page.prot & PROT_EXEC
+                    or page.decode_cache is None):
+                return False
+            entry = page.decode_cache.get(rip & 0xFFF)
+            if entry is None:
+                return False
+        if entry[0] != 0x70 or self.hl_dispatch is None:    # HLCALL
+            return False
+
+        counter = self.counter
+        cost_ns = self.costs.instruction_ns
+        stub_idx = rip >> 12
+        epoch = space.mapping_epoch
+        pending = 0
+        try:
+            if slot is not None:
+                pending = 1
+                regs.rip = plt + INSTR_SIZE
+                space.read_word(slot, state.pkru)
+            pending += 1
+            regs.rip = rip + INSTR_SIZE
+            counter.charge(pending * cost_ns, "cpu")
+            self.instructions_retired += pending
+            self.fast_insns += pending
+            pending = 0
+            self.hl_dispatch(state, entry[3])
+            if (self.force_slow_path or self.trace_hook is not None
+                    or space._observers or counter.listeners):
+                return True
+
+            # the RET, fetched as _run_fast fetches it: the stub's page
+            # is re-checked only if the handler changed the page table
+            rip = regs.rip
+            if rip == until_rip:
+                return True
+            if rip >> 12 != stub_idx or space.mapping_epoch != epoch:
+                page = pages.get(rip >> 12)
+                if page is None or not page.prot & PROT_EXEC:
+                    return True           # _run_fast raises the fault
+            cache = page.decode_cache
+            if cache is None:             # the handler wrote to the page
+                cache = page.decode_cache = {}
+            entry = cache.get(rip & 0xFFF)
+            if entry is None:
+                entry = self._decode_cached(page, rip & 0xFFF, rip)
+            if entry[0] != 0x52:          # RET
+                return True
+            pending = 1
+            regs.rip = rip + INSTR_SIZE
+            regs_d = regs._regs
+            rsp = regs_d["rsp"]
+            value = space.read_word(rsp, state.pkru)
+            regs_d["rsp"] = (rsp + WORD_SIZE) & _MASK64
+            regs.rip = value
+            return True
+        finally:
+            if pending:
+                counter.charge(pending * cost_ns, "cpu")
+                self.instructions_retired += pending
+                self.fast_insns += pending
 
     def step(self, state: ExecState) -> None:
         """Execute exactly one instruction (the precise path)."""

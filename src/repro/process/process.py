@@ -120,9 +120,6 @@ class GuestProcess:
         # -- libc-call statistics (Figures 7 and 8) --
         self.libc_call_counts: Dict[str, int] = {}
         self.libc_calls_total = 0
-        #: per guest function: libc calls issued while it was anywhere on
-        #: the call stack, i.e. calls inside its call-graph subtree.
-        self.libc_calls_in_subtree: Dict[str, int] = {}
         #: optional interposer: fn(thread, libc_name) -> None
         self.libc_call_observers: list = []
         #: when a list, every HL function entry name is appended — the
@@ -192,9 +189,6 @@ class GuestProcess:
     def note_libc_call(self, thread: GuestThread, name: str) -> None:
         self.libc_call_counts[name] = self.libc_call_counts.get(name, 0) + 1
         self.libc_calls_total += 1
-        for func in set(thread.func_stack):
-            self.libc_calls_in_subtree[func] = \
-                self.libc_calls_in_subtree.get(func, 0) + 1
         for observer in self.libc_call_observers:
             observer(thread, name)
 
@@ -271,7 +265,12 @@ class GuestProcess:
                 f"HLCALL index {global_index} outside the HL table",
                 entry_addr)
         hl, home = table[global_index]
-        loaded = self.loader.image_at(entry_addr) or home
+        # loaded ranges are disjoint, so only a follower's shifted copy
+        # of the home image needs the scan
+        if home.base <= entry_addr < home.end:
+            loaded = home
+        else:
+            loaded = self.loader.image_at(entry_addr) or home
         thread: GuestThread = state.thread
         entry_rsp = regs_d["rsp"]
 

@@ -678,6 +678,106 @@ def test_consumer_attached_from_hlcall_takes_effect_immediately(consumer):
                     "listener": [1, 1, 1]}[consumer]
 
 
+#: case -> (the second call's outcome, the call numbers at which the
+#: one-step run entered the fast loop).  The first call decodes.
+ONE_STEP_CASES = {
+    "return": ("host-return", [0]),
+    # the .got.plt read, or the RET's, is denied by the thread's PKRU
+    "got-pkey": (("ProtectionKeyFault", DATA_BASE), [0]),
+    "ret-pkey": (("ProtectionKeyFault", STACK_TOP - 72), [0]),
+    # the handler makes the stub's page non-executable: the RET faults
+    "stub-noexec": (("ExecuteFault", CODE_BASE + 2 * INSTR_SIZE), [0, 2]),
+    # the handler rewrites its HLCALL in place, or its RET with a NOP
+    "rewrite": ("host-return", [0]),
+    "ret-nop": ("host-return", [0, 2]),
+    # until_rip is the stub, or its RET
+    "until-stub": ("host-return", [0, 1]),
+    "until-ret": ("host-return", [0]),
+    # an unaligned slot at a page's end
+    "unaligned": (("AlignmentFault", DATA_BASE + PAGE_SIZE - 4), [0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_STEP_CASES))
+def test_one_step_call_matches_the_fast_loop_and_the_precise_path(case):
+    """``CPU.run`` retires a decoded ``JMP_M`` → ``HLCALL`` → ``RET`` in
+    one step, and otherwise hands the call to the fast loop.  Either way
+    the end state, faults included, is the fast loop's (a run given
+    ``max_steps`` skips the one-step) and the precise path's."""
+    slot = DATA_BASE + (PAGE_SIZE - 4 if case == "unaligned" else 0)
+    a = Assembler()
+    a.jmp_m(slot)
+    a.label("stub")
+    a.hlcall(0)
+    a.ret()
+    a.mov_ri("rax", 9)                    # reached once the RET is a NOP
+    a.ret()
+    stub = a.labels(CODE_BASE)["stub"]
+    until = {"until-stub": stub, "until-ret": stub + INSTR_SIZE}.get(
+        case, HOST_RETURN_ADDRESS)
+    ends = {}
+    for mode in ("one-step", "fast loop", "precise"):
+        cpu, state, _ = make_machine(a)
+        cpu.force_slow_path = mode == "precise"
+        space = cpu.space
+        space.write_word(DATA_BASE, stub)
+        calls, entered = [], []
+
+        def spy(*args, _run_fast=cpu._run_fast, _entered=entered,
+                _calls=calls):
+            _entered.append(len(_calls))
+            return _run_fast(*args)
+
+        def handler(st, index, _calls=calls, _space=space):
+            _calls.append(index)
+            st.regs.set("rax", 7)
+            if len(_calls) < 2:
+                return
+            if case == "ret-pkey":
+                st.pkru = pkru_disable_access(0, pkey=0)
+            elif case == "stub-noexec":
+                _space.mprotect(CODE_BASE, PAGE_SIZE, PROT_RW)
+            elif case in ("rewrite", "ret-nop"):
+                at = stub if case == "rewrite" else stub + INSTR_SIZE
+                code = (_space.read(at, INSTR_SIZE, privileged=True)
+                        if case == "rewrite"
+                        else Instruction(Op.NOP).encode())
+                _space.write(at, code, privileged=True)
+
+        cpu._run_fast = spy
+        cpu.hl_dispatch = handler
+        for call in range(2):
+            state.regs.rip = CODE_BASE
+            cpu._push(state, HOST_RETURN_ADDRESS)
+            if call and case == "got-pkey":
+                state.pkru = pkru_disable_access(0, pkey=0)
+            try:
+                outcome = cpu.run(
+                    state, until_rip=until if call else HOST_RETURN_ADDRESS,
+                    max_steps=100 if mode == "fast loop" else None)
+            except (AlignmentFault, ExecuteFault,
+                    ProtectionKeyFault) as exc:
+                outcome = (type(exc).__name__, exc.address)
+        expected, one_step_entered = ONE_STEP_CASES[case]
+        assert outcome == expected
+        assert entered == {"one-step": one_step_entered,
+                           "fast loop": [0, 0 if case == "unaligned" else 1],
+                           "precise": []}[mode]
+        ends[mode] = {
+            "registers": state.regs.snapshot(),
+            "pkru": state.pkru,
+            "calls": calls,
+            "virtual_ns": cpu.counter.total_ns,
+            "instructions": cpu.instructions_retired,
+            "accesses": (space.access_count, space.tlb_fills),
+            "tiers": (cpu.fast_insns, cpu.precise_insns),
+        }
+    assert ends["one-step"] == ends["fast loop"]
+    assert ends["precise"]["tiers"] == (0, ends["precise"]["instructions"])
+    ends["precise"]["tiers"] = ends["one-step"]["tiers"]
+    assert ends["one-step"] == ends["precise"]
+
+
 def test_every_register_write_stores_a_masked_value():
     """Both paths store register values already masked to 64 bits, so a
     register snapshot is a plain copy: every opcode that writes a

@@ -3,7 +3,9 @@ TLB + batched charging) and the forced precise path must agree
 bit-for-bit on every observable — register state, virtual-cycle totals,
 instructions retired, libc call counts, alarm PCs, and full record/replay
 traces — across the real workloads: the protected minx server under
-traffic, the CVE-2013-2028 exploit, and nbench.
+traffic, the CVE-2013-2028 exploit, nbench, and a vanilla pre-forked
+littled under keep-alive load, whose libc calls reach their HL stubs
+through the PLT and so retire in ``CPU.run``'s one-step on the fast tier.
 
 The only footer field allowed to differ across tiers is ``cpu_tiers``
 (the per-tier execution-count split — that it differs is the point);
@@ -12,6 +14,7 @@ within one tier it is part of the replay-pinned ground truth.
 
 import pytest
 
+from repro.apps.littled import LittledServer
 from repro.apps.minx import MinxServer
 from repro.apps.nbench.harness import NbenchHarness
 from repro.attacks import run_exploit
@@ -76,6 +79,40 @@ def test_nbench_workload_identical_under_all_tiers(path):
     if len(_NBENCH) == len(TIERS):
         for tier in TIERS:
             assert _NBENCH[tier] == _NBENCH["precise"], tier
+
+
+_SERVE = {}
+
+
+def test_vanilla_keepalive_serving_identical_under_all_tiers(path):
+    """perfbench serve-c1000's shape at small scale: a vanilla scheduled
+    littled with four workers under keep-alive, pipelined clients."""
+    kernel = Kernel(seed=SEED)
+    server = LittledServer(kernel, workers=4)
+    server.start()
+    bench = ApacheBench(kernel, server, pipeline=2, think_ns=100_000_000,
+                        timeout_ns=2_000_000_000, connect_retries=200)
+    result = bench.run(40, concurrency=8)
+    workers = [worker.process for worker in server.workers]
+    _SERVE[path] = {
+        "status_counts": result.status_counts,
+        "sched_status": result.sched_status,
+        "sched_digest": kernel.sched.digest,
+        "served": [worker.served_snapshot for worker in server.workers],
+        "busy_ns": result.server_busy_ns,
+        "wall_ns": result.wall_ns,
+        "libc_call_counts": [dict(p.libc_call_counts) for p in workers],
+        "instructions_retired": [p.cpu.instructions_retired
+                                 for p in workers],
+        "clock_end_ns": kernel.clock.monotonic_ns,
+    }
+    server.shutdown()
+    assert result.status_counts == {200: 40}
+    if path == "fast":
+        assert all(p.cpu.precise_insns == 0 for p in workers)
+    if len(_SERVE) == len(TIERS):
+        for tier in TIERS:
+            assert _SERVE[tier] == _SERVE["precise"], tier
 
 
 _TRACES = {}

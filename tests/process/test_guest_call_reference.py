@@ -4,12 +4,23 @@
 and ``reference_hl_function`` are ``GuestProcess.guest_call``,
 ``GuestProcess._push``, ``GuestProcess._hl_dispatch`` and
 ``Loader.hl_function`` as they stood before the protocol was made cheap,
+and ``reference_run`` is ``CPU.run`` as it stood before it learned to
+retire a whole guest call in one step (``CPU._run_call``).  They are
 kept verbatim except that they call each other instead of the methods.
 A process runs them in place of its own protocol after
 :func:`use_reference_protocol`.  On every input they share, the two
 protocols must leave the same registers, memory, access and TLB-fill
 counts, virtual time, retirement counts, call stacks, libc counts and
 observer events, and raise the same fault at the same address.
+
+Each generated case calls its entry twice on one process, because the
+one-step only takes calls whose instructions are already decoded: the
+first call runs cold, the second warm.  Its actions also reach every
+case where the one-step hands the call back to the interpreter loop: a
+``.got.plt`` slot that leads to ISA code or to a non-executable page, a
+PLT page made non-executable, a body that drops its own stub's decoded
+page, a precision consumer attached inside a body, and a smashed return
+slot.
 
 Two inputs are left out of the comparison because the protocol now
 handles them differently on purpose, and have their own tests below: a
@@ -19,6 +30,7 @@ now restored), and an ``HLCALL`` index outside the HL table (now an
 """
 
 import types
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +40,9 @@ from repro.kernel import Kernel
 from repro.libc import build_libc_image
 from repro.loader import ImageBuilder
 from repro.machine import Assembler
-from repro.machine.cpu import ExecState, HOST_RETURN_ADDRESS
+from repro.machine.cpu import CPU, ExecState, HOST_RETURN_ADDRESS
 from repro.machine.isa import INSTR_SIZE
-from repro.machine.memory import WORD_SIZE
+from repro.machine.memory import PAGE_SIZE, PROT_READ, WORD_SIZE
 from repro.machine.registers import ARG_REGISTERS
 from repro.process import GuestProcess
 from repro.process.context import GuestContext
@@ -73,12 +85,39 @@ def reference_guest_call(self, thread, target, *args):
     reference_push(self, state, sentinel)
     regs.rip = address
     try:
-        thread.cpu.run(state, until_rip=sentinel)
+        reference_run(thread.cpu, state, until_rip=sentinel)
         result = regs.get("rax")
     finally:
         regs.load_snapshot(saved)
         self.active_thread = previous_active
     return result
+
+
+def reference_run(self, state: ExecState,
+                  until_rip: int = HOST_RETURN_ADDRESS,
+                  max_steps: Optional[int] = None) -> str:
+    """Run until ``rip`` equals ``until_rip``, ``HLT``, or ``max_steps``.
+
+    Returns the exit reason: ``"host-return"``, ``"hlt"``, or
+    ``"max-steps"``.  Machine faults propagate to the caller — the
+    simulated kernel (or the MVX monitor watching a variant) decides
+    what a fault means.
+    """
+    steps = 0
+    regs = state.regs
+    while True:
+        if regs.rip == until_rip:
+            return "host-return"
+        if max_steps is not None and steps >= max_steps:
+            return "max-steps"
+        # the precise path serves anything observing execution at
+        # instruction or access granularity
+        if (self.force_slow_path or self.trace_hook is not None
+                or self.space._observers or self.counter.listeners):
+            self.step(state)
+            steps += 1
+        else:
+            steps = self._run_fast(state, until_rip, max_steps, steps)
 
 
 def reference_push(self, state: ExecState, value: int) -> None:
@@ -140,9 +179,12 @@ def use_reference_protocol(process: GuestProcess) -> None:
 # -- one run of a generated call tree -----------------------------------------
 
 UNMAPPED = 0x1234_5000
+#: actions that end where the one-step hands the call back to the loop
+#: (``got-isa`` is the entry's alone: from the leaf it would recurse)
+FALLBACK_ACTIONS = ("got-noexec", "mprotect", "restub")
 LEAF_ACTIONS = ("strlen", "getpid", "malloc", "fault", "abort", "smash",
-                "hook", "listen")
-ENTRY_ACTIONS = LEAF_ACTIONS + ("call", "call", "isa")
+                "hook", "listen") + FALLBACK_ACTIONS
+ENTRY_ACTIONS = LEAF_ACTIONS + ("call", "call", "isa", "got-isa")
 
 
 def new_process():
@@ -152,8 +194,9 @@ def new_process():
 
 
 def run_call_tree(case, reference, precise, observe):
-    """Run ``case`` from the host on a fresh process; return every
-    observable the call protocol can touch."""
+    """Run ``case``'s entry call twice from the host on a fresh process;
+    after each call, return every observable the call protocol can
+    touch."""
     process = new_process()
     seen, hooked, charged, libc_seen, events = [], [], [], [], []
 
@@ -186,6 +229,27 @@ def run_call_tree(case, reference, precise, observe):
             elif action == "listen":
                 ctx.thread.counter.add_listener(
                     lambda ns, category: charged.append((ns, category)))
+            elif action in ("got-isa", "got-noexec"):
+                # the slot leads to ISA code, or to a page that is mapped
+                # but not executable
+                target = (ctx.symbol("wrap") if action == "got-isa"
+                          else process.heap.base)
+                ctx.write_word(ctx.loaded.got_slot_address("time"), target)
+                total += ctx.libc("time", 0)
+            elif action == "mprotect":
+                # the image's PLT page, where every later libc call
+                # faults, or the body's own stub page, where its RET does
+                code = (ctx.loaded.symbol_address("time@plt")
+                        if operand % 2 == 0 else ctx.symbol(name))
+                ctx.space.mprotect(code - code % PAGE_SIZE, PAGE_SIZE,
+                                   PROT_READ)
+            elif action == "restub":
+                # rewrite the body's own HLCALL in place: its page's
+                # decoded instructions are dropped before the RET
+                stub = ctx.symbol(name)
+                ctx.space.write(stub, ctx.space.read(stub, INSTR_SIZE,
+                                                     privileged=True),
+                                privileged=True)
             else:
                 callee = "leaf" if action == "call" else "wrap"
                 total += ctx.call(callee, *case["leaf_calls"][operand])
@@ -208,7 +272,7 @@ def run_call_tree(case, reference, precise, observe):
     wrap.add_ri("rax", 1)
     wrap.ret()
     builder = ImageBuilder("tree")
-    builder.import_libc("strlen", "getpid", "malloc")
+    builder.import_libc("strlen", "getpid", "malloc", "time")
     builder.add_isa_function("wrap", wrap)
     builder.add_hl_function("entry", entry, case["entry_arity"])
     builder.add_hl_function("leaf", leaf, case["leaf_arity"])
@@ -223,35 +287,43 @@ def run_call_tree(case, reference, precise, observe):
         process.space.add_observer(lambda *event: events.append(event))
     thread = process.main_thread()
     space, cpu, counter = process.space, process.cpu, process.counter
-    try:
-        outcome = ("return", process.guest_call(thread, "entry",
-                                                *case["args"]))
-    except Exception as exc:
-        outcome = (type(exc).__name__, str(exc),
-                   getattr(exc, "address", None))
-    return {
-        "outcome": outcome,
-        "registers": thread.state.regs.snapshot(),
-        "memory": {base: bytes(page.data)
-                   for base, page in space.mapped_pages()},
-        "access_count": space.access_count,
-        "tlb_fills": space.tlb_fills,
-        "total_ns": counter.total_ns,
-        "by_category": dict(counter.by_category),
-        "clock_ns": process.kernel.clock.monotonic_ns,
-        "retired": (cpu.instructions_retired, cpu.fast_insns,
-                    cpu.precise_insns),
-        "func_stack": list(thread.func_stack),
-        "active_thread": process.active_thread,
-        "libc": (dict(process.libc_call_counts), process.libc_calls_total,
-                 dict(process.libc_calls_in_subtree)),
-        "function_trace": process.function_trace,
-        "seen": seen,
-        "libc_seen": libc_seen,
-        "hooked": hooked,
-        "charged": charged,
-        "events": events,
-    }
+    calls = []
+    for _ in range(2):
+        # a consumer the first call attached would pin the second to the
+        # precise path; detached, the second call's attach lands inside
+        # a warm one-step
+        cpu.trace_hook = None
+        del counter.listeners[:]
+        try:
+            outcome = ("return", process.guest_call(thread, "entry",
+                                                    *case["args"]))
+        except Exception as exc:
+            outcome = (type(exc).__name__, str(exc),
+                       getattr(exc, "address", None))
+        calls.append({
+            "outcome": outcome,
+            "registers": thread.state.regs.snapshot(),
+            "memory": {base: (page.prot, bytes(page.data))
+                       for base, page in space.mapped_pages()},
+            "access_count": space.access_count,
+            "tlb_fills": space.tlb_fills,
+            "total_ns": counter.total_ns,
+            "by_category": dict(counter.by_category),
+            "clock_ns": process.kernel.clock.monotonic_ns,
+            "retired": (cpu.instructions_retired, cpu.fast_insns,
+                        cpu.precise_insns),
+            "func_stack": list(thread.func_stack),
+            "active_thread": process.active_thread,
+            "libc": (dict(process.libc_call_counts),
+                     process.libc_calls_total),
+            "function_trace": list(process.function_trace),
+            "seen": list(seen),
+            "libc_seen": list(libc_seen),
+            "hooked": list(hooked),
+            "charged": list(charged),
+            "events": list(events),
+        })
+    return calls
 
 
 wide = st.one_of(st.integers(-(1 << 70), 1 << 70),
@@ -275,7 +347,7 @@ call_trees = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=call_trees, precise=st.booleans(), observe=st.booleans())
 def test_guest_call_matches_the_reference_protocol(case, precise, observe):
     expected = run_call_tree(case, True, precise, observe)
@@ -284,27 +356,72 @@ def test_guest_call_matches_the_reference_protocol(case, precise, observe):
 
 def test_call_tree_cases_reach_every_outcome():
     """The generated shapes do exercise returns, stack arguments, nested
-    calls, faults from a callee and from a smashed return slot."""
+    calls, faults from a callee and from a smashed return slot, and
+    every hand-back from the one-step to the loop."""
     base = {"args": list(range(-3, 6)), "entry_arity": 9, "leaf_arity": 8,
             "leaf_plan": [("strlen", 5)],
             "leaf_calls": [list(range(8)), [], [1 << 64]]}
-    cases = {
-        "return": [("call", 0), ("isa", 0), ("getpid", 0), ("malloc", 1)],
-        "SegmentationFault": [("call", 1), ("fault", 2)],
-        "MachineFault": [("abort", 0)],
-        "ExecuteFault": [("smash", 1)],
-    }
-    for kind, plan in cases.items():
+    cases = [
+        ("return", [("call", 0), ("isa", 0), ("getpid", 0), ("malloc", 1)]),
+        ("return", [("got-isa", 0), ("restub", 0), ("getpid", 0)]),
+        ("return", [("getpid", 0), ("hook", 0)]),
+        ("return", [("listen", 0), ("call", 2)]),
+        ("SegmentationFault", [("call", 1), ("fault", 2)]),
+        ("MachineFault", [("abort", 0)]),
+        ("ExecuteFault", [("smash", 1)]),
+        ("ExecuteFault", [("got-noexec", 0)]),
+        ("ExecuteFault", [("mprotect", 0), ("getpid", 0)]),
+        ("ExecuteFault", [("mprotect", 1)]),
+    ]
+    for kind, plan in cases:
         case = dict(base, entry_plan=plan)
         for precise in (False, True):
-            run = run_call_tree(case, False, precise, observe=False)
-            assert run["outcome"][0] == kind
-            assert run["func_stack"] == [] and run["active_thread"] is None
-            assert run == run_call_tree(case, True, precise, observe=False)
+            calls = run_call_tree(case, False, precise, observe=False)
+            for call in calls:
+                assert call["outcome"][0] == kind, plan
+                assert call["func_stack"] == []
+                assert call["active_thread"] is None
+            assert calls == run_call_tree(case, True, precise,
+                                          observe=False)
     smashed = run_call_tree(dict(base, entry_plan=[("smash", 0)]), False,
-                            False, observe=False)
+                            False, observe=False)[1]
     assert smashed["outcome"] == ("ExecuteFault", smashed["outcome"][1],
                                   UNMAPPED)
+    noexec = run_call_tree(dict(base, entry_plan=[("got-noexec", 0)]),
+                           False, False, observe=False)[1]
+    assert noexec["outcome"][2] == new_process().heap.base
+
+
+def test_warm_calls_retire_without_the_fast_loop(monkeypatch):
+    """Once its instructions are decoded, a fast-tier ``ctx.libc`` and
+    ``ctx.call`` retire in ``CPU.run``'s one-step and never enter the
+    fast loop, so the one-step cannot switch itself off unseen."""
+    entered = []
+    run_fast = CPU._run_fast
+
+    def counted(cpu, *args):
+        entered.append(cpu.space.access_count)
+        return run_fast(cpu, *args)
+
+    monkeypatch.setattr(CPU, "_run_fast", counted)
+    process = new_process()
+    builder = ImageBuilder("warm")
+    builder.import_libc("getpid")
+    builder.add_hl_function(
+        "entry", lambda ctx: ctx.libc("getpid") + ctx.call("leaf", 2), 0)
+    builder.add_hl_function("leaf", lambda ctx, value: value * 3, 1)
+    process.load_image(builder.build(), main=True)
+    thread = process.main_thread()
+    cpu = process.cpu
+    assert process.guest_call(thread, "entry") == process.pid + 6
+    assert entered                        # cold: decoded by the fast loop
+    del entered[:]
+    before = (cpu.fast_insns, cpu.precise_insns)
+    assert process.guest_call(thread, "entry") == process.pid + 6
+    assert entered == []
+    # entry and leaf: HLCALL, RET; getpid: JMP_M, HLCALL, RET
+    assert (cpu.fast_insns, cpu.precise_insns) == (before[0] + 7,
+                                                   before[1])
 
 
 # -- the two inputs the protocol now handles differently ----------------------
