@@ -148,7 +148,6 @@ class SmvxMonitor:
         self.real_libc: Dict[str, int] = {}
         self.region: Optional[ActiveRegion] = None
         self._libc_loaded: Optional[LoadedImage] = None
-        self._region_lock = threading.Lock()
         self.last_variant_report = None
         #: flight-recorder taps: fn(variant, record) at every lockstep
         #: rendezvous ("leader"/"follower" announce).

@@ -1,24 +1,21 @@
 """Deterministic preemptive scheduler.
 
-The paper's server evaluation (Fig. 7) assumes a server that multiplexes
-concurrent connections; until now the simulation had no scheduler at all —
-``LittledServer`` made progress only when the harness called ``pump()`` by
-hand.  This module replaces that crutch with a real (but fully
-deterministic) preemptive scheduler in the DiOS tradition: every
-interleaving decision is a pure function of the machine state, so the same
-seed and workload reproduce the same schedule bit-for-bit, and the
+The servers of the paper's evaluation (Fig. 7) multiplex concurrent
+connections; this scheduler runs them in the DiOS tradition: every
+interleaving decision is a pure function of the machine state, so the
+same seed and workload reproduce the same schedule bit-for-bit, and the
 decision stream is digested so record/replay can pin it.
 
 Execution model
 ---------------
 
 Tasks are Python threads, but *exactly one* runs at a time: the driver
-(whoever called :meth:`Scheduler.run_until`) hands a baton to one task,
-which runs until it parks (blocking syscall), is preempted (virtual-time
-quantum exhausted, checked at syscall entry), or exits; then the baton
-returns to the driver.  The Python threads exist only so that guest call
-stacks can be suspended mid-syscall — there is no host-level parallelism
-to leak nondeterminism.
+(whoever called :meth:`Scheduler.run_until`) gives one task the turn on
+its :class:`~repro.kernel.baton.Baton`, and the task runs until it parks
+(blocking syscall), is preempted (virtual-time quantum exhausted, checked
+at syscall entry), or exits; then the turn returns to the driver.  The
+Python threads exist only so that guest call stacks can be suspended
+mid-syscall — there is no host-level parallelism to leak nondeterminism.
 
 Virtual time is multi-core: each worker core owns a :class:`CoreClock`
 whose local time advances as the tasks bound to it charge cycles; the
@@ -27,7 +24,7 @@ kernel's global :class:`~repro.kernel.clock.VirtualClock` is the frontier
 with the *lowest* local time, which bounds inter-core skew by one quantum
 and is what lets N workers serve N requests in ~1 request's wall time.
 
-Blocking semantics (the tentpole contract):
+Blocking semantics:
 
 * ``epoll_wait`` parks the task with a readiness *horizon* (a closure
   over live kernel state) and declares the channel that horizon reads,
@@ -61,6 +58,7 @@ from typing import (Callable, Deque, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from repro.errors import KernelError
+from repro.kernel.baton import Baton
 from repro.machine.costs import CostModel, DEFAULT_COSTS
 
 #: default preemption quantum in virtual ns — a handful of requests'
@@ -74,6 +72,9 @@ MAX_DECISIONS_PER_RUN = 2_000_000
 #: slack before the wake-timer heap is compacted: it may hold this many
 #: stale entries beyond one per timed task.
 _HEAP_SLACK = 64
+
+#: the two sides of each task's baton.
+_DRIVER, _TASK = "driver", "task"
 
 
 class SchedulerError(KernelError):
@@ -173,7 +174,8 @@ class SchedTask:
         self.wake_value = True
         #: core-local time at dispatch (quantum accounting).
         self.slice_start_ns = 0.0
-        self._resume = threading.Event()
+        #: the driver holds the turn until it dispatches the task.
+        self._baton = Baton(_DRIVER, _TASK)
         self.thread = threading.Thread(
             target=self._main, name=f"sched:{name}", daemon=True)
         self.thread.start()
@@ -181,8 +183,7 @@ class SchedTask:
     # -- task-thread side ---------------------------------------------------
 
     def _main(self) -> None:
-        self._resume.wait()
-        self._resume.clear()
+        self._baton.wait(_TASK)
         try:
             if not self.cancelled:
                 self.fn()
@@ -266,7 +267,6 @@ class Scheduler:
         #: horizon closure evaluations (wake cost; not in ``stats``, so
         #: the replay-compared ``sched_stats`` never moves with it).
         self.horizon_evals = 0
-        self._driver_evt = threading.Event()
         self._in_run = False
         kernel.sched = self
 
@@ -379,7 +379,7 @@ class Scheduler:
             code = 0 if task.error is None else 1
             self.kernel.tasks.exit(task.pid, code)
         self._decision("exit", task)
-        self._driver_evt.set()
+        task._baton.give(_TASK)
 
     # -- queue machinery ----------------------------------------------------
 
@@ -634,9 +634,8 @@ class Scheduler:
         self.current = task
         self.stats.dispatches += 1
         self._decision("dispatch", task)
-        self._driver_evt.clear()
-        task._resume.set()
-        self._driver_evt.wait()
+        task._baton.give(_DRIVER)
+        task._baton.wait(_DRIVER)
         self.current = None
         self._record_state(task)
 
@@ -655,9 +654,8 @@ class Scheduler:
         return task
 
     def _switch_to_driver(self, task: SchedTask) -> None:
-        self._driver_evt.set()
-        task._resume.wait()
-        task._resume.clear()
+        task._baton.give(_TASK)
+        task._baton.wait(_TASK)
 
     def park(self, horizon: Optional[Callable[[], Optional[float]]] = None,
              deadline_ns: Optional[float] = None,
