@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.divergence import (
     AlarmLog,
@@ -61,8 +61,8 @@ from repro.libc.categories import BufSize, Category, EmulationSpec, spec_for
 from repro.libc.libc import LIBC_ARITIES, LIBC_FUNCTIONS
 from repro.loader.loader import LoadedImage
 from repro.loader.profile_tool import read_profile, write_profile
+from repro.machine.memory import PAGE_SIZE, WORD_SIZE
 from repro.machine.mpk import PkeyAllocator
-from repro.machine.registers import ARG_REGISTERS
 from repro.process.context import GuestContext, to_signed
 from repro.process.process import GuestProcess, GuestThread
 
@@ -78,6 +78,9 @@ _SPECS: Dict[str, EmulationSpec] = {
 #: reading ``Category.LOCAL`` costs as much as building a small object.
 _LOCAL_CALLS = frozenset(name for name, spec in _SPECS.items()
                          if spec.category is Category.LOCAL)
+#: the two retval-sized buffer kinds, read once here rather than as enum
+#: members on every capture
+_RETVAL, _RETVAL_TIMES = BufSize.RETVAL, BufSize.RETVAL_TIMES
 
 
 @dataclass
@@ -145,6 +148,8 @@ class SmvxMonitor:
         self.memory = None
         self.pkey: Optional[int] = None
         self.plt_names: List[str] = []
+        #: (name, arity) per PLT index, for the gate
+        self._plt_calls: List[Tuple[str, int]] = []
         self.real_libc: Dict[str, int] = {}
         self.region: Optional[ActiveRegion] = None
         self._libc_loaded: Optional[LoadedImage] = None
@@ -167,6 +172,8 @@ class SmvxMonitor:
         # implementations rather than run through the libc gate.
         self.plt_names = [name for name in target.image.plt_imports
                           if not name.startswith("mvx_")]
+        self._plt_calls = [(name, LIBC_ARITIES[name])
+                           for name in self.plt_names]
         self._mvx_imports = [name for name in target.image.plt_imports
                              if name.startswith("mvx_")]
 
@@ -462,29 +469,31 @@ class SmvxMonitor:
     # ------------------------------------------------------------------
 
     def _gate(self, ctx: GuestContext) -> int:
-        process = self.process
         thread = ctx.thread
-        regs = ctx.regs
-        rsp = regs.get("rsp")
-        # unsafe-stack frame laid out by the trampoline (see trampoline.py)
-        rdx_saved = ctx.read_word(rsp + 8)
-        rcx_saved = ctx.read_word(rsp + 16)
-        rax_saved = ctx.read_word(rsp + 24)
-        plt_index = ctx.read_word(rsp + 32)
-        name = self.plt_names[plt_index]
-        arity = LIBC_ARITIES[name]
+        state = thread.state
+        regs_d = state.regs._regs
+        rsp = regs_d["rsp"]
+        # unsafe-stack frame laid out by the trampoline (see trampoline.py):
+        # saved rdx, rcx and rax, then the PLT index.  Four charged guest
+        # reads, each charged before it is read; in one page they are one
+        # read_words, whose only possible fault is the first word's.
+        frame = rsp + 8
+        if frame % PAGE_SIZE <= PAGE_SIZE - 4 * WORD_SIZE:
+            charge = thread.counter.charge
+            memory_ns = self.costs.memory_access_ns
+            charge(memory_ns, "memory")
+            rdx_saved, rcx_saved, _rax_saved, plt_index = \
+                thread.space.read_words(frame, 4, state.pkru)
+            charge(3 * memory_ns, "memory")
+        else:
+            rdx_saved, rcx_saved, _rax_saved, plt_index = [
+                ctx.read_word(frame + WORD_SIZE * i) for i in range(4)]
+        name, arity = self._plt_calls[plt_index]
 
-        args = []
-        for index in range(arity):
-            if index == 2:
-                args.append(rdx_saved)
-            elif index == 3:
-                args.append(rcx_saved)
-            elif index < 6:
-                args.append(regs.get(ARG_REGISTERS[index]))
-            else:
-                args.append(ctx.read_word(
-                    rsp + 48 + 8 * (index - 6)))
+        args = [regs_d["rdi"], regs_d["rsi"], rdx_saved, rcx_saved,
+                regs_d["r8"], regs_d["r9"]][:arity]
+        for index in range(6, arity):
+            args.append(ctx.read_word(rsp + 48 + 8 * (index - 6)))
 
         self.stats.intercepted_calls += 1
         # per-thread: a follower's interception work burns its own core
@@ -495,12 +504,11 @@ class SmvxMonitor:
         # stack pivot: monitor logic runs on the pkey-guarded safe stack
         slots = self.memory.safe_stack_size // (2 * 4096)
         slot = self.process.threads.index(thread) % slots
-        unsafe_rsp = rsp
-        regs.set("rsp", self.memory.safe_stack_top(slot))
+        regs_d["rsp"] = self.memory.safe_stack_top(slot)
         try:
             return self._dispatch(ctx, thread, name, args)
         finally:
-            regs.set("rsp", unsafe_rsp)
+            regs_d["rsp"] = rsp
 
     def _dispatch(self, ctx: GuestContext, thread: GuestThread,
                   name: str, args: List[int]) -> int:
@@ -598,9 +606,9 @@ class SmvxMonitor:
                 if pointer == 0 or (follower is not None
                                     and follower.args[index] == 0):
                     continue
-                if buffer.size is BufSize.RETVAL:
+                if buffer.size is _RETVAL:
                     size = signed
-                elif buffer.size is BufSize.RETVAL_TIMES:
+                elif buffer.size is _RETVAL_TIMES:
                     size = signed * buffer.fixed_size
                 else:
                     size = buffer.fixed_size

@@ -23,6 +23,14 @@ builds a small shared object containing, per libc import of the target:
 The monitor's text pages are made execute-only (XoM) under the monitor
 pkey and the image is loaded at a randomized base, reproducing the
 MonGuard-style code hiding the paper builds on.
+
+On the interpreter's fast tier the CPU retires a warm intercepted call,
+stub through trampoline, gate and close sequence, in one step
+(``CPU._run_interposed`` in ``machine/cpu.py``), with exactly the effects
+of running its 21 instructions.  It recognises the path from these
+instructions; nothing here registers it.  So the image's bytes, and the
+static verifier's proof of the ``WRPKRU`` gate over them, are the same
+whichever tier runs the call.
 """
 
 from __future__ import annotations

@@ -42,6 +42,18 @@ missing or non-executable page, a ``.got.plt`` slot leading anywhere but
 an ``HLCALL``, a precision consumer attached inside the body, or a return
 slot that does not hold ``until_rip``.
 
+A slot that leads to an sMVX stub (``PUSH_I i; JMP trampoline``) is
+retired in one step too (:meth:`CPU._run_interposed`): the stub, the MPK
+trampoline with both ``WRPKRU``\\ s, the gate's ``HLCALL`` and ``RET``, the
+close sequence and the final ``RET``.  The CPU recognises that path from
+the decoded instructions and keeps one plan per trampoline among its
+page's decoded instructions (:meth:`CPU._plan_interposition`), guarded by
+the decoded instructions of the path's other pages, so a warm call checks
+only the stub and those guards.  It hands back to the loop as the plain
+one-step does, and also when ``until_rip`` lies on the path, a guard
+fails after the gate, or the gate's ``RET`` does not return into the
+trampoline.
+
 ``CPU.force_slow_path`` (class-wide or per instance) pins the precise
 path; the differential tests use it to prove both interpreters agree.
 The precise path stays the reference for the fast loop and the one-step
@@ -60,6 +72,7 @@ from repro.machine.memory import (
     AddressSpace,
     PAGE_SIZE,
     PROT_EXEC,
+    PROT_WRITE,
     WORD_SIZE,
     _WORD_STRUCT,
 )
@@ -67,6 +80,11 @@ from repro.machine.mpk import PKRU_MASK
 from repro.machine.registers import RegisterFile
 
 _MASK64 = (1 << 64) - 1
+
+#: the straight-line opcodes an interposition plan holds besides its
+#: CALL, HLCALL and RETs (see CPU._plan_interposition)
+_PLAN_OPS = frozenset(int(op) for op in (
+    Op.PUSH_R, Op.MOV_RI, Op.MOV_RR, Op.ADD_RI, Op.WRPKRU))
 
 #: Synthetic return address meaning "return control to the host caller".
 #: It sits in non-canonical space so it can never collide with a mapping.
@@ -486,6 +504,9 @@ class CPU:
             if entry is None:
                 return False
         if entry[0] != 0x70 or self.hl_dispatch is None:    # HLCALL
+            if entry[0] == 0x55 and slot is not None:       # PUSH_I
+                return self._run_interposed(state, until_rip, plt, slot,
+                                            rip, page, entry[3])
             return False
 
         counter = self.counter
@@ -539,6 +560,225 @@ class CPU:
                 counter.charge(pending * cost_ns, "cpu")
                 self.instructions_retired += pending
                 self.fast_insns += pending
+
+    def _run_interposed(self, state: ExecState, until_rip: int, plt: int,
+                        slot: int, stub: int, page, index: int) -> bool:
+        """Retire an interposed libc call in one step, if it is one.
+
+        :meth:`_run_call` comes here when a PLT entry's ``.got.plt`` slot
+        leads to a ``PUSH_I``, the first instruction of an sMVX stub
+        (``PUSH_I i; JMP trampoline``, see ``core/trampoline.py``).  From
+        the trampoline on, through the gate and back to the caller, the
+        path is retired from the trampoline's plan
+        (:meth:`_plan_interposition`).
+
+        First it only looks: the stub's two instructions decoded on one
+        page that is not writable, and the trampoline's plan present with
+        its guards holding (planned again if not).  It returns False,
+        having changed nothing, if anything differs, if ``until_rip`` is
+        an address on the path or if no dispatcher is attached; the loop
+        then runs :meth:`_run_fast` from the same ``rip``, and it raises
+        any fault the call takes.
+
+        Then it applies exactly :meth:`_run_fast`'s effects: ``rip``
+        advanced before each access; each push and pop through
+        ``write_word``/``read_word`` with the thread's current PKRU, in
+        the loop's order; both ``WRPKRU``\\ s with their ``rcx``/``rdx``
+        check; the instructions up to the gate's ``HLCALL`` charged
+        together before the handler and the rest at the end, with any
+        pending charge flushed on a fault.  After the handler it re-runs
+        the precision check and the guards, and hands back at the current
+        ``rip`` when either fails, when the handler moved ``rip``, or when
+        the gate's ``RET`` does not return into the trampoline.  Returns
+        True once the handler has run.
+        """
+        if page.prot & PROT_WRITE:
+            return False
+        # (a JMP past the page's end has no entry in its decoded cache)
+        jmp = page.decode_cache.get((stub & 0xFFF) + INSTR_SIZE)
+        if jmp is None or jmp[0] != 0x40:                   # JMP
+            return False
+        tramp = (stub + 2 * INSTR_SIZE + jmp[3]) & _MASK64
+        space = self.space
+        pages = space._pages
+        tramp_idx = tramp >> 12
+        tramp_page = pages.get(tramp_idx)
+        if tramp_page is None or tramp_page.decode_cache is None:
+            return False
+        tramp_cache = tramp_page.decode_cache
+        plan = tramp_cache.get(~(tramp & 0xFFF))
+        if plan is not None:
+            for idx, other, cache in plan[2]:
+                if (pages.get(idx) is not other
+                        or other.decode_cache is not cache):
+                    plan = None               # a guard failed: plan again
+                    break
+        if plan is None:
+            plan = self._plan_interposition(tramp, tramp_page)
+            if plan is None:
+                return False
+        steps, addresses, guards = plan
+        if (until_rip in addresses or until_rip == stub + INSTR_SIZE
+                or self.hl_dispatch is None):
+            return False
+
+        regs = state.regs
+        regs_d = regs._regs
+        counter = self.counter
+        cost_ns = self.costs.instruction_ns
+        read_word = space.read_word
+        write_word = space.write_word
+        M = _MASK64
+        pending = 1
+        try:
+            regs.rip = plt + INSTR_SIZE                     # JMP_M [slot]
+            read_word(slot, state.pkru)
+            pending = 2                                     # PUSH_I i
+            regs.rip = stub + INSTR_SIZE
+            rsp = (regs_d["rsp"] - 8) & M
+            regs_d["rsp"] = rsp
+            write_word(rsp, index & M, state.pkru)
+            pending = 3                                     # JMP
+            for pending, op, r1, r2, imm, rip_next in steps:
+                if op == 0x53:                              # PUSH_R
+                    regs.rip = rip_next
+                    value = regs_d[r1]
+                    rsp = (regs_d["rsp"] - 8) & M
+                    regs_d["rsp"] = rsp
+                    write_word(rsp, value, state.pkru)
+                elif op == 0x11:                            # MOV_RI run
+                    regs_d.update(imm)
+                elif op == 0x10:                            # MOV_RR
+                    regs_d[r1] = regs_d[r2]
+                elif op == 0x60:                            # WRPKRU
+                    if regs_d["rcx"] or regs_d["rdx"]:
+                        regs.rip = rip_next
+                        raise InvalidInstruction(
+                            "wrpkru with non-zero rcx/rdx",
+                            rip_next - INSTR_SIZE)
+                    state.pkru = regs_d["rax"] & PKRU_MASK
+                elif op == 0x52:                            # RET
+                    regs.rip = rip_next
+                    rsp = regs_d["rsp"]
+                    value = read_word(rsp, state.pkru)
+                    regs_d["rsp"] = (rsp + 8) & M
+                    regs.rip = value
+                    if value != imm:       # off the path, or the last RET
+                        return True
+                elif op == 0x21:                            # ADD_RI
+                    regs_d[r1] = (regs_d[r1] + imm) & M
+                elif op == 0x50:                            # CALL
+                    regs.rip = rip_next
+                    rsp = (regs_d["rsp"] - 8) & M
+                    regs_d["rsp"] = rsp
+                    write_word(rsp, rip_next, state.pkru)
+                else:                                       # HLCALL
+                    regs.rip = rip_next
+                    counter.charge(pending * cost_ns, "cpu")
+                    self.instructions_retired += pending
+                    self.fast_insns += pending
+                    pending = 0
+                    self.hl_dispatch(state, imm)
+                    if (self.force_slow_path or self.trace_hook is not None
+                            or space._observers or counter.listeners
+                            or regs.rip != rip_next
+                            or pages.get(tramp_idx) is not tramp_page
+                            or tramp_page.decode_cache is not tramp_cache):
+                        return True
+                    for idx, other, cache in guards:
+                        if (pages.get(idx) is not other
+                                or other.decode_cache is not cache):
+                            return True
+        finally:
+            if pending:
+                counter.charge(pending * cost_ns, "cpu")
+                self.instructions_retired += pending
+                self.fast_insns += pending
+
+    def _plan_interposition(self, tramp: int, page):
+        """Plan the interposition path from the trampoline at ``tramp``.
+
+        The path runs straight from ``tramp`` through ``PUSH_R``,
+        ``MOV_RI``, ``MOV_RR``, ``ADD_RI`` and ``WRPKRU`` to a ``CALL``
+        of an HL function (``HLCALL n; RET``), then on from the ``CALL``'s
+        return address through the same kinds of instruction to a
+        ``RET``.  The plan is ``(steps, addresses, guards)``:
+
+        * one ``(pending, op, reg1, reg2, imm, rip_next)`` step per
+          instruction, where ``pending`` counts the instructions retired
+          but not yet charged once the step has run (the stub's three
+          included), a run of ``MOV_RI``\\ s is one step whose imm maps
+          each register to its value, and a ``RET``'s imm is the address
+          it must return to for the path to go on (None for the last);
+        * the set of the path's addresses;
+        * an ``(index, page, decoded instructions)`` guard for every page
+          on the path but ``page``, the trampoline's own.
+
+        The plan is stored among ``page``'s decoded instructions, under
+        the key ``~offset``, which no instruction offset takes, so it
+        lives exactly as long as they do.  Returns None, storing nothing,
+        unless the whole path is already decoded on present pages that
+        are executable and not writable: no push can then rewrite the
+        path, and anything that later changes one of its pages drops that
+        page's decoded instructions, and with them the plan or a guard.
+        """
+        pages = self.space._pages
+        guards = {}
+        path = []
+
+        def decoded(addr):
+            idx = addr >> 12
+            at = pages.get(idx)
+            if (at is None or at.decode_cache is None
+                    or at.prot & (PROT_EXEC | PROT_WRITE) != PROT_EXEC):
+                return None
+            if at is not page:
+                guards[idx] = (idx, at, at.decode_cache)
+            return at.decode_cache.get(addr & 0xFFF)
+
+        def straight(addr):
+            """Add the straight-line run from ``addr`` to the path;
+            return the entry that ends it and its address."""
+            while True:
+                entry = decoded(addr)
+                if entry is None or entry[0] not in _PLAN_OPS:
+                    return entry, addr
+                path.append(entry[:4] + (addr,))
+                addr += INSTR_SIZE
+
+        call, addr = straight(tramp)
+        if call is None or call[0] != 0x50:                 # CALL
+            return None
+        resume = addr + INSTR_SIZE
+        gate = (resume + call[3]) & _MASK64
+        hlcall = decoded(gate)
+        ret = decoded(gate + INSTR_SIZE)
+        if (hlcall is None or hlcall[0] != 0x70
+                or ret is None or ret[0] != 0x52):          # HLCALL; RET
+            return None
+        path += [call[:4] + (addr,), hlcall[:4] + (gate,),
+                 (0x52, None, None, resume, gate + INSTR_SIZE)]
+        last, addr = straight(resume)
+        if last is None or last[0] != 0x52:                 # RET
+            return None
+        path.append((0x52, None, None, None, addr))
+
+        steps = []
+        pending = 3                 # the stub's JMP_M, PUSH_I and JMP
+        for op, reg1, reg2, imm, addr in path:
+            pending += 1
+            if op == 0x11:                                  # MOV_RI
+                run = (steps.pop()[4] if steps and steps[-1][1] == 0x11
+                       else {})
+                run[reg1] = imm & _MASK64
+                imm = run
+            steps.append((pending, op, reg1, reg2, imm, addr + INSTR_SIZE))
+            if op == 0x70:                                  # HLCALL
+                pending = 0
+        plan = (tuple(steps), frozenset(step[4] for step in path),
+                tuple(guards.values()))
+        page.decode_cache[~(tramp & 0xFFF)] = plan
+        return plan
 
     def step(self, state: ExecState) -> None:
         """Execute exactly one instruction (the precise path)."""

@@ -90,7 +90,10 @@ class Page:
         #: (offset -> decoded entry).  ``None`` means "nothing cached".
         #: Every MMU write path drops it; because the cache lives on the
         #: Page itself, pages aliased into other spaces (share_into) are
-        #: invalidated through whichever space performs the write.
+        #: invalidated through whichever space performs the write.  The
+        #: CPU also keeps an sMVX trampoline's one-step plan here, under
+        #: the negative key ``~offset``, so it is dropped with the page's
+        #: decoded instructions.
         self.decode_cache: Optional[dict] = None
 
     def invalidate_decode(self) -> None:

@@ -236,7 +236,9 @@ def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
     the recorded host stimuli one by one.
 
     With ``keep_server=True`` the rebuilt server is left on the result
-    (``result.server``) for post-mortem poking.
+    (``result.server``) for post-mortem poking, and the caller shuts it
+    down.  Otherwise it is shut down once the comparison is made, so a
+    replayed scheduled run leaves no task's host thread behind.
     """
     kernel, server, recorder, replay_urandom = _build_scenario(trace)
     scenario = trace.meta.get("scenario", {})
@@ -273,4 +275,7 @@ def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
                           trace=replay_trace_out)
     if keep_server:
         result.server = server
+    elif hasattr(server, "shutdown"):
+        # only a scheduled LittledServer has tasks to stop
+        server.shutdown()
     return result

@@ -424,9 +424,10 @@ def test_slow_leader_does_not_trip_follower_wait(short_wait):
 
 
 def test_deadlocked_channel_still_times_out(short_wait):
-    """Neither side will ever signal: the follower waits for a result
-    the leader never publishes, the leader waits for the follower to
-    finish.  Both waits give up."""
+    """A follower that announces before its first turn hands off out of
+    turn: its announce raises ``LockstepTimeout`` ("protocol stall") at
+    once, before any wait, and drops the baton, so the leader's next
+    handoff (``leader_finish``) raises the same way."""
     channel = LockstepChannel()
     seen = {}
 

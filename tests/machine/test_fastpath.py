@@ -11,6 +11,7 @@ import pytest
 from repro.errors import (
     AlignmentFault,
     ExecuteFault,
+    MachineFault,
     ProtectionKeyFault,
     SegmentationFault,
 )
@@ -776,6 +777,146 @@ def test_one_step_call_matches_the_fast_loop_and_the_precise_path(case):
     assert ends["precise"]["tiers"] == (0, ends["precise"]["instructions"])
     ends["precise"]["tiers"] = ends["one-step"]["tiers"]
     assert ends["one-step"] == ends["precise"]
+
+
+#: case -> the labels at which each of four one-step calls entered the
+#: fast loop.  The first call decodes.
+INTERPOSED_CASES = {
+    "plain": [["plt"], [], [], []],
+    # a stub, or the trampoline, on a writable page, where a push could
+    # rewrite the path
+    "stub-writable": [["plt"]] * 4,
+    "trampoline-writable": [["plt"]] * 4,
+    # a stub that CALLs the trampoline instead of jumping to it
+    "stub-call": [["plt"]] * 4,
+    # calls that start at the stub, not at a PLT entry
+    "enter-at-stub": [["stub"]] * 4,
+    # the gate's HLCALL, on the path's third page, rewritten between
+    # calls: the plan's guard fails, and once the page is decoded again
+    # the path is planned again
+    "gate-rewritten": [["plt"], [], ["plt"], []],
+    # the handler makes the gate's RET a NOP: the guard fails after it
+    "gate-ret-nop": [["plt"], ["gate-ret"], ["plt"], ["plt"]],
+    # the handler moves rip past the gate's RET
+    "handler-jumps": [["plt"], ["gate-alt"], [], []],
+    # no dispatcher: the fast loop raises at the HLCALL
+    "no-dispatcher": [["plt"]] * 4,
+}
+
+
+def _pad_to_page(a):
+    while len(a) * INSTR_SIZE % PAGE_SIZE:
+        a.nop()
+
+
+@pytest.mark.parametrize("case", list(INTERPOSED_CASES))
+def test_interposed_call_on_a_hand_built_path(case):
+    """The interposition one-step recognises its path from the decoded
+    instructions alone: here a PLT entry, a stub, a trampoline of another
+    shape than the monitor's and a gate, with the trampoline and the gate
+    on pages of their own.  The one-step, the fast loop and the precise
+    path leave the same state after each of four calls."""
+    a = Assembler()
+    a.jmp_m(DATA_BASE)
+    a.label("stub")
+    a.push_i(5)
+    if case == "stub-call":
+        a.call("tramp")
+    else:
+        a.jmp("tramp")
+    _pad_to_page(a)
+    a.label("tramp")
+    a.push_r("rax")
+    a.mov_ri("rcx", 0)
+    a.mov_ri("rdx", 0)
+    a.mov_ri("r11", -1)
+    a.mov_ri("rax", 0)
+    a.wrpkru()
+    a.call("gate")
+    a.mov_rr("r10", "rax")
+    a.add_ri("rsp", 16)                   # the pushed rax and index
+    a.mov_rr("rax", "r10")
+    a.ret()
+    _pad_to_page(a)
+    a.label("gate")
+    a.hlcall(0)
+    a.ret()
+    a.label("gate-alt")                   # reached once the RET is a NOP
+    a.mov_ri("rax", 9)
+    a.ret()
+    labels = a.labels(CODE_BASE)
+    gate = labels["gate"]
+    names = {CODE_BASE: "plt", labels["stub"]: "stub",
+             gate + INSTR_SIZE: "gate-ret", labels["gate-alt"]: "gate-alt"}
+    ends = {}
+    for mode in ("one-step", "fast loop", "precise"):
+        cpu, state, _ = make_machine(a)
+        cpu.force_slow_path = mode == "precise"
+        space = cpu.space
+        space.write_word(DATA_BASE, labels["stub"])
+        if case in ("stub-writable", "trampoline-writable"):
+            space.mprotect(CODE_BASE if case == "stub-writable"
+                           else labels["tramp"], PAGE_SIZE, PROT_RWX)
+        calls, entered, outcomes = [], [], []
+
+        def spy(st, *args, _run_fast=cpu._run_fast, _entered=entered):
+            _entered[-1].append(names.get(st.regs.rip, hex(st.regs.rip)))
+            return _run_fast(st, *args)
+
+        def handler(st, index, _calls=calls, _space=space):
+            _calls.append(index)
+            st.regs.set("rax", 7)
+            if len(_calls) != 2:
+                return
+            if case == "gate-ret-nop":
+                _space.write(gate + INSTR_SIZE, Instruction(Op.NOP).encode(),
+                             privileged=True)
+            elif case == "handler-jumps":
+                st.regs.rip = labels["gate-alt"]
+
+        cpu._run_fast = spy
+        cpu.hl_dispatch = handler
+        for call in range(4):
+            if call == 2 and case == "gate-rewritten":
+                space.write(gate, Instruction(Op.HLCALL, imm=1).encode(),
+                            privileged=True)
+            if call == 1 and case == "no-dispatcher":
+                cpu.hl_dispatch = None
+            entered.append([])
+            state.regs.rip = (labels["stub"] if case == "enter-at-stub"
+                              else CODE_BASE)
+            cpu._push(state, HOST_RETURN_ADDRESS)
+            try:
+                outcomes.append(cpu.run(
+                    state, max_steps=100 if mode == "fast loop" else None))
+            except MachineFault as exc:
+                outcomes.append((type(exc).__name__, exc.address))
+        first = "stub" if case == "enter-at-stub" else "plt"
+        assert entered == {"one-step": INTERPOSED_CASES[case],
+                           "fast loop": [[first]] * 4,
+                           "precise": [[]] * 4}[mode]
+        ends[mode] = {
+            "outcomes": outcomes,
+            "registers": state.regs.snapshot(),
+            "pkru": state.pkru,
+            "calls": calls,
+            "virtual_ns": cpu.counter.total_ns,
+            "instructions": cpu.instructions_retired,
+            "accesses": (space.access_count, space.tlb_fills),
+            "tiers": (cpu.fast_insns, cpu.precise_insns),
+        }
+    assert ends["one-step"] == ends["fast loop"]
+    assert ends["precise"]["tiers"] == (0, ends["precise"]["instructions"])
+    ends["precise"]["tiers"] = ends["one-step"]["tiers"]
+    assert ends["one-step"] == ends["precise"]
+    assert ends["one-step"]["outcomes"] == {
+        "stub-call": [("ExecuteFault", 5)] * 4,
+        "no-dispatcher": ["host-return"] + [("MachineFault", gate)] * 3,
+    }.get(case, ["host-return"] * 4)
+    assert ends["one-step"]["calls"] == {
+        "gate-rewritten": [0, 0, 1, 1], "no-dispatcher": [0]}.get(
+            case, [0] * 4)
+    assert ends["one-step"]["registers"]["r11"] == (1 << 64) - 1
 
 
 def test_every_register_write_stores_a_masked_value():

@@ -22,9 +22,9 @@ from repro.trace import record_littled, replay_trace
 from repro.workloads.ab import ApacheBench
 
 
-def supervised_littled_record_and_replay():
-    """2 sMVX workers, a worker kill and a graceful reload, then the
-    bit-identical replay."""
+def record_supervised_littled():
+    """2 sMVX workers, a worker kill and a graceful reload; returns the
+    trace, with the recorded server shut down."""
     kernel, server, recorder = record_littled(
         seed="threads-rr", workers=2, smvx=True, protect="server_main_loop",
         workload={"requests": 12, "concurrency": 3,
@@ -34,8 +34,21 @@ def supervised_littled_record_and_replay():
     trace = recorder.finish()
     server.shutdown()
     assert trace.footer["supervisor"]["restarts_total"] == 1
-    replay = replay_trace(trace, keep_server=True)
+    return trace
+
+
+def supervised_littled_record_and_replay():
+    """The supervised run, then the bit-identical replay with the rebuilt
+    server kept and shut down by the caller."""
+    replay = replay_trace(record_supervised_littled(), keep_server=True)
     replay.server.shutdown()
+    assert replay.ok, replay.summary()
+
+
+def supervised_littled_plain_replay():
+    """The supervised run replayed without keeping the server:
+    ``replay_trace`` shuts down what it rebuilt."""
+    replay = replay_trace(record_supervised_littled())
     assert replay.ok, replay.summary()
 
 
@@ -60,7 +73,8 @@ def bench_swarm_scenarios():
         assert run_scenario(matrix[index]).klass in OK_CLASSES
 
 
-SHAPES = [supervised_littled_record_and_replay, protected_minx_then_cve,
+SHAPES = [supervised_littled_record_and_replay,
+          supervised_littled_plain_replay, protected_minx_then_cve,
           distributed_ab, bench_swarm_scenarios]
 
 
