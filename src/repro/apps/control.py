@@ -271,8 +271,9 @@ def spawn_worker_kill(server: LittledServer, slot: int,
                       at_ns: float) -> None:
     """Chaos helper: a coreless task that cancels worker ``slot``'s task
     at virtual instant ``at_ns`` — the deterministic stand-in for a
-    worker segfault mid-load.  Shared by the recorder and the replayer so
-    supervised-kill runs reproduce exactly.  ``server.shutdown()``
+    worker segfault mid-load.  Every run arms it the same way (through
+    :meth:`repro.deploy.Run.arm_control_plane`), so recorded, replayed
+    and simulated kill runs reproduce exactly.  ``server.shutdown()``
     cancels a kill whose instant has not come, and a cancelled kill
     leaves its victim alone."""
     sched = server.sched

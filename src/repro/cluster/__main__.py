@@ -34,16 +34,17 @@ from repro.trace.merge import merge_summary, merge_traces
 
 def _cmd_demo(args) -> int:
     if args.app == "littled":
-        from repro.cluster.scenarios import build_littled_cluster
-        from repro.workloads import ApacheBench
+        from repro.cluster.scenarios import LITTLED_PROTECT
+        from repro.deploy import Deployment, build
 
-        run = build_littled_cluster(seed=args.seed,
-                                    latency_ns=args.latency_ns,
-                                    workers=args.workers)
-        result = ApacheBench(run.cluster.host(0).kernel, run.leader).run(
-            args.requests, concurrency=min(args.requests, 4))
-        run.leader.shutdown()
-        run.finish()
+        run = build(Deployment(
+            app="littled", seed=args.seed,
+            kwargs={"protect": LITTLED_PROTECT, "workers": args.workers},
+            workload={"requests": args.requests,
+                      "concurrency": min(args.requests, 4)},
+            cluster=True, latency_ns=args.latency_ns)).start().drive()
+        run.shutdown()
+        result = run.result
         session = {"result": result, "run": run,
                    "alarms": len(run.leader.alarms.alarms)}
         print(f"scheduled serving: {result.workers} workers, "
@@ -83,13 +84,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    from repro.cluster.scenarios import build_minx_cluster
-    from repro.workloads import ApacheBench
-
-    run = build_minx_cluster(seed=args.seed, latency_ns=args.latency_ns,
-                             record=True)
-    ApacheBench(run.cluster.host(0).kernel, run.leader).run(args.requests)
-    traces = run.finish()
+    traces = run_distributed_ab(seed=args.seed, latency_ns=args.latency_ns,
+                                requests=args.requests,
+                                record=True)["traces"]
     paths = []
     for trace in traces:
         path = f"{args.prefix}.host{trace.footer['host_id']}.json"

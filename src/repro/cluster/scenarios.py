@@ -8,33 +8,15 @@ host's trace footer and the merged event order bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.host import Cluster
-from repro.cluster.remote import DistributedSmvx
+from repro.deploy import Deployment, Run, build
 from repro.kernel.faults import FaultSchedule
 from repro.trace.merge import merge_digest, merge_traces
-from repro.trace.record import Recorder, Trace
+from repro.trace.record import Trace
 
 MINX_PROTECT = "minx_http_process_request_line"
 LITTLED_PROTECT = "server_main_loop"
-
-
-@dataclass
-class ClusterRun:
-    """A wired-up distributed deployment, ready to drive."""
-
-    cluster: Cluster
-    leader: object
-    mirror: object
-    dsmvx: DistributedSmvx
-    recorders: List[Recorder] = field(default_factory=list)
-
-    def finish(self) -> List[Trace]:
-        """Drain in-flight frames and close every host's recorder."""
-        self.dsmvx.settle()
-        return [recorder.finish() for recorder in self.recorders]
 
 
 def build_minx_cluster(seed: str = "smvx-cluster",
@@ -43,29 +25,12 @@ def build_minx_cluster(seed: str = "smvx-cluster",
                        sensitive: Optional[Sequence[str]] = None,
                        record: bool = False, capacity: int = 4096,
                        fault_schedule: Optional[FaultSchedule] = None,
-                       start: bool = True) -> ClusterRun:
+                       start: bool = True) -> Run:
     """Leader minx on host 0, mirror variant + monitor on host 1."""
-    from repro.apps.minx import MinxServer
-
-    cluster = Cluster(seed=seed, hosts=2, latency_ns=latency_ns)
-    leader = MinxServer(cluster.host(0).kernel, protect=protect,
-                        smvx=False)
-    mirror = MinxServer(cluster.host(1).kernel, protect=protect,
-                        smvx=True)
-    dsmvx = DistributedSmvx(cluster, leader, mirror, sensitive=sensitive)
-    run = ClusterRun(cluster, leader, mirror, dsmvx)
-    if record:
-        run.recorders = _attach_recorders(
-            cluster, (leader, mirror), capacity,
-            {"app": "minx-cluster", "seed": seed,
-             "latency_ns": latency_ns, "protect": protect,
-             "fault_schedule": (fault_schedule.to_dict()
-                                if fault_schedule is not None else None)})
-    if fault_schedule is not None:
-        cluster.install_link_faults(fault_schedule)
-    if start:
-        leader.start()
-    return run
+    return _build(Deployment(
+        app="minx", seed=seed, kwargs={"protect": protect},
+        link_faults=fault_schedule, cluster=True, latency_ns=latency_ns,
+        sensitive=sensitive), record, capacity, start)
 
 
 def build_littled_cluster(seed: str = "smvx-cluster",
@@ -75,43 +40,20 @@ def build_littled_cluster(seed: str = "smvx-cluster",
                           sensitive: Optional[Sequence[str]] = None,
                           record: bool = False, capacity: int = 4096,
                           fault_schedule: Optional[FaultSchedule] = None,
-                          start: bool = True) -> ClusterRun:
+                          start: bool = True) -> Run:
     """Pre-forked littled on host 0 (scheduled serving), one mirror
     worker per leader worker on host 1, one wire channel per pair."""
-    from repro.apps.littled import LittledServer
-
-    cluster = Cluster(seed=seed, hosts=2, latency_ns=latency_ns)
-    leader = LittledServer(cluster.host(0).kernel, protect=protect,
-                           smvx=False, workers=workers)
-    mirror = LittledServer(cluster.host(1).kernel, protect=protect,
-                           smvx=True, workers=workers)
-    dsmvx = DistributedSmvx(cluster, leader, mirror, sensitive=sensitive)
-    run = ClusterRun(cluster, leader, mirror, dsmvx)
-    if record:
-        run.recorders = _attach_recorders(
-            cluster, (leader, mirror), capacity,
-            {"app": "littled-cluster", "seed": seed,
-             "latency_ns": latency_ns, "protect": protect,
-             "workers": workers,
-             "fault_schedule": (fault_schedule.to_dict()
-                                if fault_schedule is not None else None)})
-    if fault_schedule is not None:
-        cluster.install_link_faults(fault_schedule)
-    if start:
-        leader.start()
-    return run
+    return _build(Deployment(
+        app="littled", seed=seed,
+        kwargs={"protect": protect, "workers": workers},
+        link_faults=fault_schedule, cluster=True, latency_ns=latency_ns,
+        sensitive=sensitive), record, capacity, start)
 
 
-def _attach_recorders(cluster: Cluster, servers, capacity: int,
-                      scenario: Dict) -> List[Recorder]:
-    recorders = []
-    for host_id, server in enumerate(servers):
-        recorder = Recorder(cluster.host(host_id).kernel,
-                            scenario=dict(scenario, host=host_id),
-                            capacity=capacity)
-        recorder.attach_server(server)
-        recorders.append(recorder)
-    return recorders
+def _build(spec: Deployment, record: bool = False, capacity: int = 4096,
+           start: bool = True) -> Run:
+    run = build(spec, record={"capacity": capacity} if record else None)
+    return run.start() if start else run
 
 
 # -- drivers -------------------------------------------------------------------
@@ -122,40 +64,28 @@ def run_distributed_cve(seed: str = "smvx-cluster",
                         record: bool = False) -> Dict:
     """Fire CVE-2013-2028 at the distributed deployment; the verdict
     must come back from the remote monitor before mkdir executes."""
-    from repro.attacks import run_exploit
-    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
-
-    run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                             record=record)
-    outcome = run_exploit(run.leader)
-    traces = run.finish()
-    alarm = run.leader.alarms.alarms[0] if run.leader.alarms.alarms \
-        else None
-    return {
-        "run": run,
-        "outcome": outcome,
-        "traces": traces,
-        "alarm": alarm,
-        "directory_created":
-            run.cluster.host(0).kernel.vfs.is_dir(VICTIM_DIRECTORY),
-    }
+    return _run_cve(Deployment(
+        app="minx", seed=seed, kwargs={"protect": MINX_PROTECT},
+        attack="cve", cluster=True, latency_ns=latency_ns), record)
 
 
 def run_inprocess_cve(seed: str = "smvx-cluster") -> Dict:
     """The single-host §4.2 experiment, seeded like host 0 of the
     cluster so both deployments see the same leader kernel stream."""
-    from repro.apps.minx import MinxServer
-    from repro.attacks import run_exploit
-    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
-    from repro.kernel.kernel import Kernel
+    return _run_cve(Deployment(
+        app="minx", seed=f"{seed}/host0",
+        kwargs={"protect": MINX_PROTECT, "smvx": True}, attack="cve"))
 
-    kernel = Kernel(seed=f"{seed}/host0")
-    server = MinxServer(kernel, protect=MINX_PROTECT, smvx=True)
-    server.start()
-    outcome = run_exploit(server)
-    alarm = server.alarms.alarms[0] if server.alarms.alarms else None
-    return {"outcome": outcome, "alarm": alarm,
-            "directory_created": kernel.vfs.is_dir(VICTIM_DIRECTORY)}
+
+def _run_cve(spec: Deployment, record: bool = False) -> Dict:
+    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
+
+    run = _build(spec, record).drive()
+    traces = run.finish()
+    alarms = run.leader.alarms.alarms
+    return {"run": run, "outcome": run.exploit, "traces": traces,
+            "alarm": alarms[0] if alarms else None,
+            "directory_created": run.kernel.vfs.is_dir(VICTIM_DIRECTORY)}
 
 
 def compare_cve_alarms(seed: str = "smvx-cluster",
@@ -192,15 +122,12 @@ def run_distributed_ab(seed: str = "smvx-cluster",
                        record: bool = False) -> Dict:
     """Benign traffic against distributed minx; every request opens a
     region whose events cross the wire."""
-    from repro.workloads.ab import ApacheBench
-
-    run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                             record=record,
-                             fault_schedule=fault_schedule)
-    result = ApacheBench(run.cluster.host(0).kernel, run.leader).run(
-        requests)
+    run = _build(Deployment(
+        app="minx", seed=seed, kwargs={"protect": MINX_PROTECT},
+        link_faults=fault_schedule, workload={"requests": requests},
+        cluster=True, latency_ns=latency_ns), record).drive()
     traces = run.finish()
-    return {"run": run, "result": result, "traces": traces,
+    return {"run": run, "result": run.result, "traces": traces,
             "alarms": len(run.leader.alarms.alarms)}
 
 
@@ -240,11 +167,8 @@ def replay_cluster(seed: str = "smvx-cluster",
     from repro.trace.replay import _diff_footers
 
     def session() -> List[Trace]:
-        run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                                 record=True)
-        from repro.workloads.ab import ApacheBench
-        ApacheBench(run.cluster.host(0).kernel, run.leader).run(requests)
-        return run.finish()
+        return run_distributed_ab(seed=seed, latency_ns=latency_ns,
+                                  requests=requests, record=True)["traces"]
 
     recorded = session()
     replayed = session()

@@ -1,8 +1,9 @@
 """Execute one scenario and report everything the oracle needs.
 
-A run builds the scenario's deployment from its derived seed, installs
-the fault schedule, arms any known-bug mutation, drives the traffic and
-attack, and collects:
+A run maps the scenario to a :class:`~repro.deploy.Deployment` and
+builds, starts and drives it through :mod:`repro.deploy` like every
+other run, adding only what is the sim's own: a known-bug mutation and
+wire taps before the start, and then it collects:
 
 * the server's alarm log (kind / libc call / guest PC per alarm),
 * traffic statistics (completions, failures, status counts),
@@ -26,9 +27,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.deploy import Deployment, build
 from repro.errors import MvxDivergence, ReproError
 from repro.kernel.faults import SHORT_READ_SYSCALLS
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import MINX_PROTECT, Scenario
 from repro.sim import oracle
 
 #: patience for fault-schedule runs (matches the fault-battery suites).
@@ -132,14 +134,6 @@ def _fill_traffic(raw: RawRun, result) -> None:
     raw.digests["responses"] = _response_digest(result)
 
 
-def _bench(scenario: Scenario, kernel, server):
-    from repro.workloads.ab import ApacheBench
-    return ApacheBench(kernel, server, max_stalls=SIM_MAX_STALLS,
-                       client_mode=scenario.client_mode,
-                       chunk_bytes=scenario.chunk_bytes,
-                       partial_preludes=scenario.partial_preludes)
-
-
 def _snapshot_plane(raw: RawRun, plane, key: str) -> None:
     raw.digests[key] = plane.digest
     raw.fault_events.extend(plane.injected_events)
@@ -148,189 +142,117 @@ def _snapshot_plane(raw: RawRun, plane, key: str) -> None:
             raw.injected_by_kind.get(kind, 0) + count
 
 
-def _run_attack(scenario: Scenario, server, raw: RawRun,
-                vfs) -> None:
-    from repro.attacks import run_exploit
-    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
-    outcome = run_exploit(server)
-    raw.attack = {
-        "directory_created": vfs.is_dir(VICTIM_DIRECTORY),
-        "server_crashed": outcome.server_crashed,
-        "divergence_detected": outcome.divergence_detected,
-        "alarm_count": outcome.alarm_count,
-    }
+def _control(scenario: Scenario) -> Optional[Dict]:
+    """The control plane of a multi-worker littled scenario: its
+    supervisor, reload and worker kill, timed from the post-start
+    clock."""
+    supervise = scenario.supervise and scenario.workers >= 1
+    kill = scenario.worker_kill and scenario.workers >= 2
+    if not (supervise or kill):
+        return None
+    control: Dict = {"supervise": supervise}
+    if scenario.reload:
+        control["reload_after_ns"] = 4_000_000
+    if kill:
+        control["worker_kills"] = [{"slot": scenario.index
+                                    % scenario.workers,
+                                    "after_ns": 2_000_000}]
+    return control
 
 
-def _execute_minx(scenario: Scenario) -> RawRun:
-    from repro.apps.minx import MinxServer
-    from repro.kernel.kernel import Kernel
-
-    raw = RawRun()
-    kernel = Kernel(seed=scenario.seed)
-    server = MinxServer(kernel, protect=scenario.protect,
-                        smvx=scenario.smvx,
-                        variant_strategy=scenario.variant_strategy)
+def deployment(scenario: Scenario) -> Deployment:
+    """The deployment a scenario runs.  The sim's client is patient
+    (fault-schedule runs need more stalls than the happy path's 2).  A
+    cluster is always protected minx, leader plain and mirror sMVX, with
+    the schedule on the leader's host plane and on the links."""
+    littled = scenario.workload == "littled"
+    cluster = scenario.workload == "cluster"
     schedule = scenario.schedule_obj()
-    if schedule is not None:
-        kernel.faults.install(schedule)
-    _arm_mutation(scenario, kernel)
-    server.start()
-    bench = _bench(scenario, kernel, server)
-    try:
-        result = bench.run(scenario.requests,
-                           concurrency=scenario.concurrency)
-        _fill_traffic(raw, result)
-        if scenario.attack == "cve":
-            _run_attack(scenario, server, raw, kernel.vfs)
-    except MvxDivergence:
-        # the alarm log below carries the details; traffic stops here
-        raw.failures = scenario.requests - raw.completed
-    raw.alarms = _alarm_dicts(server.alarms)
-    _snapshot_plane(raw, kernel.faults, "fault")
-    raw.digests["clock_end"] = round(kernel.clock.monotonic_ns, 3)
-    return raw
+    kwargs = {"protect": MINX_PROTECT} if cluster else {
+        "protect": scenario.protect, "smvx": scenario.smvx}
+    kwargs["variant_strategy"] = scenario.variant_strategy
+    if littled:
+        kwargs["workers"] = scenario.workers
+    return Deployment(
+        app="littled" if littled else "minx", seed=scenario.seed,
+        kwargs=kwargs, faults=schedule,
+        link_faults=schedule if cluster else None,
+        control=_control(scenario) if littled else None,
+        workload={"requests": scenario.requests,
+                  "concurrency": scenario.concurrency,
+                  "max_stalls": SIM_MAX_STALLS,
+                  "client_mode": scenario.client_mode,
+                  "chunk_bytes": scenario.chunk_bytes,
+                  "partial_preludes": scenario.partial_preludes},
+        attack="none" if littled else scenario.attack,
+        clock_skew_ns=scenario.clock_skew_ns, cluster=cluster)
 
 
-def _execute_littled(scenario: Scenario) -> RawRun:
-    from repro.apps.littled import LittledServer
-    from repro.kernel.kernel import Kernel
-
-    raw = RawRun()
-    kernel = Kernel(seed=scenario.seed)
-    server = LittledServer(kernel, protect=scenario.protect,
-                           smvx=scenario.smvx, workers=scenario.workers,
-                           variant_strategy=scenario.variant_strategy)
-    schedule = scenario.schedule_obj()
-    if schedule is not None:
-        kernel.faults.install(schedule)
-    _arm_mutation(scenario, kernel)
-    server.start()
-    sched = kernel.sched
-    if scenario.clock_skew_ns and sched is not None:
-        sched.apply_clock_skew(
-            [i * scenario.clock_skew_ns
-             for i in range(len(sched.cores))])
-
-    supervisor = None
-    if scenario.supervise and server.workers_n and sched is not None:
-        from repro.apps.control import Supervisor
-        supervisor = Supervisor(
-            server,
-            reload_at_ns=(kernel.clock.monotonic_ns + 4_000_000
-                          if scenario.reload else None))
-        supervisor.start()
-
-    chaos_task = None
-    if scenario.worker_kill and server.workers_n >= 2 \
-            and sched is not None:
-        victim = server.workers[scenario.index % server.workers_n]
-        kill_at = kernel.clock.monotonic_ns + 2_000_000
-
-        def chaos() -> None:
-            sched.park(deadline_ns=kill_at)
-            me = sched.current
-            if me is not None and me.cancelled:
-                return               # the run ended before the kill slot
-            if victim.task is not None and not victim.task.done:
-                sched.cancel(victim.task)
-
-        chaos_task = sched.spawn("sim-chaos", chaos)
-
-    bench = _bench(scenario, kernel, server)
-    try:
-        result = bench.run(scenario.requests,
-                           concurrency=scenario.concurrency)
-        _fill_traffic(raw, result)
-    except MvxDivergence:
-        raw.failures = scenario.requests - raw.completed
-    if chaos_task is not None and not chaos_task.done:
-        sched.cancel(chaos_task)
-        sched.run_until(tasks=[chaos_task])
-    if supervisor is not None:
-        # pin the whole control-plane history (restarts, reload,
-        # final served counts) into the digests the oracle compares
-        raw.digests["supervisor"] = json.dumps(supervisor.snapshot(),
-                                               sort_keys=True)
-    server.shutdown()
-    raw.alarms = _alarm_dicts(server.alarms)
-    _snapshot_plane(raw, kernel.faults, "fault")
-    if sched is not None:
-        raw.digests["sched"] = sched.digest
-        raw.digests["sched_decisions"] = sched.decisions
-    raw.digests["clock_end"] = round(kernel.clock.monotonic_ns, 3)
-    return raw
-
-
-def _execute_cluster(scenario: Scenario) -> RawRun:
-    from repro.cluster.scenarios import build_minx_cluster
-
-    raw = RawRun()
-    schedule = scenario.schedule_obj()
-    run = build_minx_cluster(seed=scenario.seed,
-                             fault_schedule=schedule, start=False)
-    # wire-event digest per host (the satellite's cross-host pin): the
-    # recorder isn't attached in sim runs, so tap the hook directly
+def _wire_tap(run) -> "hashlib._Hash":
+    """Per-host wire-event digest (the cross-host pin): no recorder is
+    attached in sim runs, so tap the hook directly."""
     wire = hashlib.sha256()
     for host in run.cluster.hosts:
-        host_id = host.host_id
-
-        def tap(direction, link, meta, _h=host_id):
+        def tap(direction, link, meta, _h=host.host_id):
             wire.update(
                 f"{_h}:{direction}:{link}:{meta['frame']}:"
                 f"{meta['lamport']}:{meta['bytes']}".encode())
 
         host.kernel.wire_hooks.append(tap)
-    leader_kernel = run.cluster.host(0).kernel
-    if schedule is not None:
-        # host-plane faults on the leader too, not just the links: the
-        # distributed monitor must survive the same hostile kernel the
-        # in-process one does
-        leader_kernel.faults.install(schedule)
-    _arm_mutation(scenario, leader_kernel)
-    if scenario.clock_skew_ns:
-        # mirror host boots ahead of the leader: verdict timestamps skew
-        run.cluster.host(1).clock.advance_to(
-            run.cluster.host(1).clock.monotonic_ns
-            + scenario.clock_skew_ns)
-    run.leader.start()
-    bench = _bench(scenario, leader_kernel, run.leader)
+    return wire
+
+
+def _execute(scenario: Scenario) -> RawRun:
+    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
+
+    raw = RawRun()
+    run = build(deployment(scenario))
+    kernel = run.kernel
+    wire = _wire_tap(run) if run.cluster is not None else None
+    _arm_mutation(scenario, kernel)
+    run.start()
+    diverged = False
     try:
-        result = bench.run(scenario.requests,
-                           concurrency=scenario.concurrency)
-        _fill_traffic(raw, result)
-        if scenario.attack == "cve":
-            _run_attack(scenario, run.leader, raw, leader_kernel.vfs)
+        run.drive()
     except MvxDivergence:
+        diverged = True      # the alarm log below carries the details
+    if run.result is not None:
+        _fill_traffic(raw, run.result)
+    if run.exploit is not None:
+        raw.attack = {
+            "directory_created": kernel.vfs.is_dir(VICTIM_DIRECTORY),
+            "server_crashed": run.exploit.server_crashed,
+            "divergence_detected": run.exploit.divergence_detected,
+            "alarm_count": run.exploit.alarm_count,
+        }
+    if diverged:
         raw.failures = scenario.requests - raw.completed
-    run.dsmvx.settle()
+    if run.supervisor is not None:
+        # pin the whole control-plane history (restarts, reload,
+        # final served counts) into the digests the oracle compares
+        raw.digests["supervisor"] = json.dumps(run.supervisor.snapshot(),
+                                               sort_keys=True)
+    run.shutdown()
     raw.alarms = _alarm_dicts(run.leader.alarms)
-    _snapshot_plane(raw, leader_kernel.faults, "fault")
-    for key, link in sorted(run.cluster.links.items()):
-        _snapshot_plane(raw, link.faults, f"link{key[0]}-{key[1]}")
-    raw.digests["wire"] = wire.hexdigest()
+    _snapshot_plane(raw, kernel.faults, "fault")
+    if run.cluster is not None:
+        for key, link in sorted(run.cluster.links.items()):
+            _snapshot_plane(raw, link.faults, f"link{key[0]}-{key[1]}")
+        raw.digests["wire"] = wire.hexdigest()
+    if kernel.sched is not None:
+        raw.digests["sched"] = kernel.sched.digest
+        raw.digests["sched_decisions"] = kernel.sched.decisions
     raw.digests["clock_end"] = round(
-        run.cluster.global_time_ns(), 3)
+        run.cluster.global_time_ns() if run.cluster is not None
+        else kernel.clock.monotonic_ns, 3)
     return raw
-
-
-_EXECUTORS = {
-    "minx": _execute_minx,
-    "littled": _execute_littled,
-    "cluster": _execute_cluster,
-}
 
 
 def execute(scenario: Scenario) -> RawRun:
     """One raw run; unhandled exceptions become ``crash`` material."""
-    executor = _EXECUTORS[scenario.workload]
     try:
-        return executor(scenario)
-    except ReproError as exc:
-        raw = RawRun()
-        raw.error = repr(exc)
-        raw.error_kind = type(exc).__name__
-        return raw
-    except (RuntimeError, ValueError, KeyError, IndexError,
+        return _execute(scenario)
+    except (ReproError, RuntimeError, ValueError, KeyError, IndexError,
             AttributeError, TypeError) as exc:
         raw = RawRun()
         raw.error = repr(exc)

@@ -197,9 +197,13 @@ def generate_scenario(master_seed: str, index: int) -> Scenario:
 
     if workload == "cluster":
         # the distributed deployment is always protected (leader plain,
-        # mirror sMVX — that is the deployment under test)
+        # mirror sMVX — that is the deployment under test) and its
+        # mirror shifts: aligned mirrors wait until aligned follower
+        # creation is cheap.  The strategy draw above still happens, so
+        # no other axis moves.
         scenario.smvx = True
         scenario.protect = MINX_PROTECT
+        scenario.variant_strategy = "shift"
     elif workload == "littled":
         scenario.workers = stream.randint(2, 3)
         scenario.smvx = stream.chance(0.7)

@@ -33,10 +33,10 @@ from repro.trace.record import (
     TRACE_VERSION,
     Recorder,
     Trace,
-    drive_littled_workload,
     record_littled,
     record_minx,
 )
+from repro.deploy import drive_workload as drive_littled_workload
 from repro.trace.replay import ReplayResult, replay_trace
 from repro.trace.capsule import DivergenceCapsule
 from repro.trace.export import to_chrome_trace, write_chrome_trace

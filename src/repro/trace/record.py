@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.deploy import Deployment, build
 from repro.machine.isa import Op
 from repro.trace.events import EventKind, MetricsRegistry, RingRecorder
 
@@ -556,71 +557,9 @@ def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
     seed + schedule rather than replaying individual faults (rr's
     record-the-perturbation-source principle).
     """
-    from repro.apps.minx import MinxServer
-    from repro.kernel.kernel import Kernel
-
-    kernel = Kernel(seed=seed)
-    server = MinxServer(kernel, **minx_kwargs)
-    scenario = {"app": "minx", "seed": seed, "kwargs": dict(minx_kwargs)}
-    if fault_schedule is not None:
-        scenario["faults"] = fault_schedule.to_dict()
-        kernel.faults.install(fault_schedule)
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions,
-        capsule_window=capsule_window)
-    recorder.attach_server(server)
-    server.start()
-    return kernel, server, recorder
-
-
-def drive_littled_workload(kernel, server, workload: Dict):
-    """Run the scenario's ApacheBench workload against a (scheduled or
-    classic) littled.  Used identically on the record and replay sides,
-    so a scheduled run is replayed *by reproduction*: the same client
-    tasks re-derive the same interleaving from the same machine state.
-    """
-    from repro.workloads.ab import ApacheBench
-
-    bench = ApacheBench(
-        kernel, server,
-        path=workload.get("path", "/index.html"),
-        keepalive=workload.get("keepalive", True),
-        max_stalls=workload.get("max_stalls", 2),
-        timeout_ns=workload.get("timeout_ns", 50_000_000),
-        pipeline=workload.get("pipeline", 1),
-        connect_retries=workload.get("connect_retries", 20))
-    return bench.run(workload.get("requests", 8),
-                     paths=workload.get("paths"),
-                     concurrency=workload.get("concurrency", 1))
-
-
-def apply_control_plane(kernel, server, control: Optional[Dict],
-                        recorder: Optional[Recorder] = None):
-    """Arm the scenario's production control plane from its trace
-    description: a supervisor (restart budgets, restart-on-alarm, a
-    scheduled graceful reload) plus any chaos worker kills.  Shared by
-    the record and replay sides, so a supervised run replays *by
-    reproduction* — the same control dict re-derives the same restarts
-    and reload from the same machine state.  Returns the started
-    :class:`~repro.apps.control.Supervisor` (or None).
-    """
-    if not control:
-        return None
-    from repro.apps.control import Supervisor, spawn_worker_kill
-
-    supervisor = Supervisor(
-        server,
-        restart_budget=control.get("restart_budget", 2),
-        tick_ns=control.get("tick_ns", 1_000_000),
-        restart_on_alarm=control.get("restart_on_alarm", False),
-        reload_at_ns=control.get("reload_at_ns"))
-    if recorder is not None:
-        recorder.attach_supervisor(supervisor)
-    supervisor.start()
-    for kill in control.get("worker_kills") or []:
-        spawn_worker_kill(server, kill["slot"], kill["at_ns"])
-    return supervisor
+    return _record(Deployment(app="minx", seed=seed, kwargs=minx_kwargs,
+                              faults=fault_schedule),
+                   capacity, trace_instructions, capsule_window)
 
 
 def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
@@ -638,32 +577,21 @@ def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
     ``server.shutdown()`` so the footer matches what replay rebuilds.
 
     ``control`` arms the production control plane before the workload
-    (see :func:`apply_control_plane`): ``{"restart_budget": 2,
-    "restart_on_alarm": bool, "reload_at_ns": t, "worker_kills":
+    (see :meth:`repro.deploy.Run.arm_control_plane`): ``{"restart_budget":
+    2, "restart_on_alarm": bool, "reload_at_ns": t, "worker_kills":
     [{"slot": s, "at_ns": t}, ...]}``.  It is stored in the scenario so
     replay re-arms the identical supervisor.
     """
-    from repro.apps.littled import LittledServer
-    from repro.kernel.kernel import Kernel
+    return _record(Deployment(app="littled", seed=seed,
+                              kwargs=littled_kwargs, faults=fault_schedule,
+                              control=control, workload=workload),
+                   capacity, trace_instructions, capsule_window)
 
-    kernel = Kernel(seed=seed)
-    server = LittledServer(kernel, **littled_kwargs)
-    scenario = {"app": "littled", "seed": seed,
-                "kwargs": dict(littled_kwargs)}
-    if workload is not None:
-        scenario["workload"] = dict(workload)
-    if control is not None:
-        scenario["control"] = dict(control)
-    if fault_schedule is not None:
-        scenario["faults"] = fault_schedule.to_dict()
-        kernel.faults.install(fault_schedule)
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions,
-        capsule_window=capsule_window)
-    recorder.attach_server(server)
-    server.start()
-    apply_control_plane(kernel, server, control, recorder)
-    if workload is not None:
-        drive_littled_workload(kernel, server, workload)
-    return kernel, server, recorder
+
+def _record(spec, capacity: int, trace_instructions: bool,
+            capsule_window: int):
+    run = build(spec, record={"capacity": capacity,
+                              "trace_instructions": trace_instructions,
+                              "capsule_window": capsule_window})
+    run.start().drive()
+    return run.kernel, run.leader, run.recorders[0]

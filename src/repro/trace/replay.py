@@ -20,7 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.trace.record import Recorder, Trace
+from repro.deploy import Deployment, build
+from repro.trace.record import Trace
 
 #: footer fields compared scalar-for-scalar.
 _FOOTER_KEYS = (
@@ -90,47 +91,29 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-def _build_scenario(trace: Trace):
-    """Rebuild the recorded scenario: kernel (same seed), server (same
-    config), recorder attached at the same point in the lifecycle."""
-    from repro.kernel.kernel import Kernel
-
+def _rebuild(trace: Trace):
+    """Rebuild the recorded deployment (same seed, same config, a
+    recorder attached at the same point in the lifecycle), then point
+    ``/dev/urandom`` at the recorded stream."""
     scenario = trace.meta.get("scenario", {})
     app = scenario.get("app", "minx")
-    if app == "minx":
-        from repro.apps.minx import MinxServer
-        server_cls = MinxServer
-    elif app == "littled":
-        from repro.apps.littled import LittledServer
-        server_cls = LittledServer
-    elif app.endswith("-cluster"):
+    if app.endswith("-cluster"):
         raise ValueError(
             f"{app!r} is a per-host trace of a cluster run; replay the "
             f"whole cluster with `python -m repro.cluster replay` (a "
             f"single host's stimulus depends on its peers' wire frames)")
-    else:
-        raise ValueError(f"cannot rebuild unknown scenario app {app!r}")
-    kernel = Kernel(seed=scenario.get("seed", "smvx-repro"))
-    server = server_cls(kernel, **scenario.get("kwargs", {}))
-    if scenario.get("faults"):
-        # re-arm the recorded fault schedule: the identical fault stream
-        # re-derives from (seed, schedule, query sequence) — faults are
-        # replayed by reproduction, not by playback.
-        from repro.kernel.faults import FaultSchedule
-        kernel.faults.install(FaultSchedule.from_dict(scenario["faults"]))
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=trace.meta.get("ring", {}).get("capacity", 4096),
-        trace_instructions=trace.meta.get("trace_instructions", False))
-    recorder.attach_server(server)
+    run = build(Deployment.from_dict(scenario), record={
+        "capacity": trace.meta.get("ring", {}).get("capacity", 4096),
+        "trace_instructions": trace.meta.get("trace_instructions", False)})
     # from here on the kernel consumes the *recorded* nondeterminism
+    kernel = run.kernel
     replay_urandom = ReplayUrandom(
         [bytes.fromhex(c) for c in trace.inputs.get("urandom", [])],
         kernel.vfs.urandom)
-    replay_urandom.tap = recorder._on_urandom
+    replay_urandom.tap = run.recorders[0]._on_urandom
     kernel.vfs.urandom.tap = None
     kernel.vfs.urandom = replay_urandom
-    return kernel, server, recorder, replay_urandom
+    return run, replay_urandom
 
 
 def _run_script(trace: Trace, kernel, server) -> List[str]:
@@ -240,23 +223,18 @@ def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
     down.  Otherwise it is shut down once the comparison is made, so a
     replayed scheduled run leaves no task's host thread behind.
     """
-    kernel, server, recorder, replay_urandom = _build_scenario(trace)
-    scenario = trace.meta.get("scenario", {})
-    workload = scenario.get("workload")
-    control = scenario.get("control")
+    run, replay_urandom = _rebuild(trace)
+    workload = run.spec.workload
     if workload is not None:
-        from repro.trace.record import (apply_control_plane,
-                                        drive_littled_workload)
-        server.start()
-        # re-arm the recorded control plane before the workload, exactly
-        # as the record side did: the supervisor's restarts/reload are
-        # replayed by reproduction, and its snapshot must re-pin
-        apply_control_plane(kernel, server, control, recorder)
-        drive_littled_workload(kernel, server, workload)
+        # re-arm the recorded control plane and re-drive the workload
+        # exactly as the record side did: the supervisor's restarts and
+        # reload are replayed by reproduction, and its snapshot must
+        # re-pin
+        run.start().drive()
         mismatches = []
     else:
-        mismatches = _run_script(trace, kernel, server)
-    replay_trace_out = recorder.finish()
+        mismatches = _run_script(trace, run.kernel, run.leader)
+    replay_trace_out = run.recorders[0].finish()
     mismatches += _diff_scripts(trace.script, replay_trace_out.script)
     if workload is not None:
         mismatches += _diff_events(trace.events, replay_trace_out.events)
@@ -274,8 +252,7 @@ def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
                           replayed_footer=dict(replay_trace_out.footer),
                           trace=replay_trace_out)
     if keep_server:
-        result.server = server
-    elif hasattr(server, "shutdown"):
-        # only a scheduled LittledServer has tasks to stop
-        server.shutdown()
+        result.server = run.leader
+    else:
+        run.shutdown()
     return result

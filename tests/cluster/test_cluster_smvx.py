@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.remote import snapshot_hashes
 from repro.cluster.scenarios import (
+    MINX_PROTECT,
     build_littled_cluster,
     build_minx_cluster,
     compare_cve_alarms,
@@ -14,6 +15,7 @@ from repro.cluster.scenarios import (
     run_distributed_cve,
 )
 from repro.core.divergence import DivergenceKind
+from repro.deploy import Deployment, build
 from repro.errors import MvxSetupError
 from repro.trace.merge import merge_digest, merge_summary, merge_traces
 from repro.workloads.ab import ApacheBench
@@ -138,6 +140,26 @@ def test_cve_alarm_location_identical_to_inprocess():
     assert comparison["distributed_blocked"]
     pc = comparison["fields"]["guest_pc"]
     assert pc["in_process"] == pc["distributed"]
+
+
+def test_aligned_mirror_catches_the_cve():
+    """An aligned mirror, built through the one deployment builder, still
+    stops CVE-2013-2028 at ``mkdir``.  Its follower faults at its own
+    address: the shift mirror's fault is at 0x55550002e000."""
+    from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
+
+    run = build(Deployment(
+        app="minx", seed="smvx-cluster", attack="cve", cluster=True,
+        kwargs={"protect": MINX_PROTECT, "variant_strategy": "aligned"}))
+    run.start().drive()
+    run.finish()
+    assert run.mirror.monitor.variant_strategy == "aligned"
+    assert run.exploit.attack_detected_and_blocked
+    report, = run.leader.alarms.alarms
+    assert report.kind is DivergenceKind.FOLLOWER_FAULT
+    assert report.libc_name == "mkdir"
+    assert report.guest_pc == 0x5555_0002_E020
+    assert not run.kernel.vfs.is_dir(VICTIM_DIRECTORY)
 
 
 def test_cve_leader_survives_and_serves_after_alarm():

@@ -9,8 +9,9 @@ replay rely on.
 
 import pytest
 
+from repro.deploy import build
 from repro.sim import OK_CLASSES, generate_matrix
-from repro.sim.runner import combined_digest, run_scenario
+from repro.sim.runner import combined_digest, deployment, run_scenario
 from repro.sim.scenario import Scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -48,6 +49,19 @@ def test_cluster_digests_include_wire_and_links(matrix):
     outcome = run_scenario(scenario)
     assert "wire" in outcome.digests
     assert any(key.startswith("link") for key in outcome.digests)
+
+
+def test_cluster_scenarios_run_the_mirror_they_name():
+    """A cluster scenario's variant-strategy label is what its mirror
+    runs, and cluster mirrors shift until aligned follower creation is
+    cheap."""
+    clusters = [s for s in generate_matrix("bench-swarm", 40)
+                if s.workload == "cluster"]
+    assert clusters
+    for scenario in clusters:
+        run = build(deployment(scenario))
+        assert run.mirror.monitor.variant_strategy \
+            == scenario.variant_strategy == "shift", scenario.describe()
 
 
 def test_littled_digests_include_scheduler(matrix):

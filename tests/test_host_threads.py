@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps.minx import MinxServer
 from repro.attacks.cve_2013_2028 import run_exploit
-from repro.cluster.scenarios import run_distributed_ab
+from repro.cluster.scenarios import build_littled_cluster, run_distributed_ab
 from repro.kernel import Kernel
 from repro.sim import OK_CLASSES
 from repro.sim.runner import run_scenario
@@ -65,6 +65,12 @@ def distributed_ab():
     assert run_distributed_ab()["alarms"] == 0
 
 
+def recorded_littled_cluster_finish():
+    """A recorded scheduled cluster closed with ``finish()`` alone: the
+    builder's teardown stops the leader's workers."""
+    assert len(build_littled_cluster(seed="x", record=True).finish()) == 2
+
+
 def bench_swarm_scenarios():
     """minx under faults, the distributed CVE, supervised littled with a
     kill, and supervised littled with a reload."""
@@ -75,7 +81,8 @@ def bench_swarm_scenarios():
 
 SHAPES = [supervised_littled_record_and_replay,
           supervised_littled_plain_replay, protected_minx_then_cve,
-          distributed_ab, bench_swarm_scenarios]
+          distributed_ab, recorded_littled_cluster_finish,
+          bench_swarm_scenarios]
 
 
 @pytest.mark.parametrize("run", SHAPES, ids=[run.__name__ for run in SHAPES])
