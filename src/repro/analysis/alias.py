@@ -17,8 +17,9 @@ loaded from a specific pointer table can only target that table's
 entries.  :func:`resolve_indirect_sites` proves the second, stronger fact
 per call site by constant-propagating table addresses (``LEA``) through
 register moves, table-offset arithmetic, and ``LOAD``s over the recovered
-CFG — the classic "function-pointer table" narrowing that lets the call
-graph replace ``<indirect>`` edges with concrete ones.
+CFG (run to its fixpoint by :func:`repro.analysis.cfg.solve`) — the
+classic "function-pointer table" narrowing that lets the call graph
+replace ``<indirect>`` edges with concrete ones.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.cfg import FunctionCFG, function_cfg
+from repro.analysis.cfg import TOP, FunctionCFG, function_cfg, solve
 from repro.loader.image import ProgramImage, Symbol
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
 
@@ -91,11 +92,12 @@ def _data_objects(image: ProgramImage) -> List[Symbol]:
 def _collect_pointer_tables(image: ProgramImage) -> Dict[str, PointerTable]:
     """Group ``.data`` relocations under their containing object symbol."""
     func_names = {sym.name for sym in image.function_symbols()}
+    objects = _data_objects(image)
     by_object: Dict[Symbol, Dict[int, str]] = {}
     for relocation in image.relocations:
         if relocation.section != ".data":
             continue
-        for sym in _data_objects(image):
+        for sym in objects:
             if sym.offset <= relocation.offset < sym.offset + max(sym.size, 1):
                 slots = by_object.setdefault(sym, {})
                 slots[relocation.offset - sym.offset] = relocation.target
@@ -121,14 +123,6 @@ def _collect_pointer_tables(image: ProgramImage) -> Dict[str, PointerTable]:
 # ---------------------------------------------------------------------------
 # per-site CALL_R / JMP_R resolution (constant propagation over the CFG)
 # ---------------------------------------------------------------------------
-
-class _Top:
-    def __repr__(self) -> str:      # pragma: no cover - debugging aid
-        return "⊤"
-
-
-_TOP = _Top()
-
 
 @dataclass(frozen=True)
 class _TablePtr:
@@ -169,13 +163,13 @@ def _resolve_function_sites(cfg: FunctionCFG,
                             ) -> Dict[int, Tuple[str, ...]]:
     """Constant-propagate table pointers to each indirect site of one CFG.
 
-    Lattice per register: ⊤ | _TablePtr | _FuncSet.  A merge of unequal
-    values widens to ⊤ (same discipline as the PKRU gate pass), so a
-    resolution survives only when *every* path to the site agrees.
+    Lattice per register: ⊤ | _TablePtr | _FuncSet, with a register
+    missing from the state read as ⊤.  A join of unequal values widens to
+    ⊤, so a resolution survives only when *every* path to the site agrees.
     """
     if not cfg.indirect_sites:
         return {}
-    resolved: Dict[int, object] = {}      # site -> frozenset | _TOP
+    resolved: Dict[int, object] = {}      # site -> frozenset | TOP
 
     def transfer(regs: Dict[str, object], addr: int,
                  instr: Instruction) -> None:
@@ -183,28 +177,28 @@ def _resolve_function_sites(cfg: FunctionCFG,
         if op is Op.LEA:
             hit = _table_at(tables, bases, addr + INSTR_SIZE + instr.imm)
             regs[instr.reg1] = (_TablePtr(hit[0].name, hit[1])
-                                if hit else _TOP)
+                                if hit else TOP)
         elif op is Op.MOV_RR:
-            regs[instr.reg1] = regs.get(instr.reg2, _TOP)
+            regs[instr.reg1] = regs.get(instr.reg2, TOP)
         elif op in (Op.ADD_RI, Op.SUB_RI):
-            value = regs.get(instr.reg1, _TOP)
+            value = regs.get(instr.reg1, TOP)
             if isinstance(value, _TablePtr) and value.delta is not None:
                 sign = 1 if op is Op.ADD_RI else -1
                 regs[instr.reg1] = _TablePtr(value.table,
                                              value.delta + sign * instr.imm)
             else:
-                regs[instr.reg1] = _TOP
+                regs[instr.reg1] = TOP
         elif op is Op.ADD_RR:
             # runtime-indexed table walk: &table + i*8 with i unknown —
             # the register still points *somewhere into that table*
-            left = regs.get(instr.reg1, _TOP)
+            left = regs.get(instr.reg1, TOP)
             if isinstance(left, _TablePtr):
                 regs[instr.reg1] = _TablePtr(left.table, None)
             else:
-                regs[instr.reg1] = _TOP
+                regs[instr.reg1] = TOP
         elif op is Op.LOAD:
-            base = regs.get(instr.reg2, _TOP)
-            value: object = _TOP
+            base = regs.get(instr.reg2, TOP)
+            value: object = TOP
             if isinstance(base, _TablePtr):
                 table = tables[base.table]
                 if base.delta is None:
@@ -219,55 +213,36 @@ def _resolve_function_sites(cfg: FunctionCFG,
         elif op in (Op.CALL, Op.HLCALL):
             regs.clear()              # caller-saved: callee clobbers all
         elif op in (Op.CALL_R, Op.JMP_R):
-            value = regs.get(instr.reg1, _TOP)
-            found = (value.names if isinstance(value, _FuncSet) else _TOP)
+            value = regs.get(instr.reg1, TOP)
+            found = (value.names if isinstance(value, _FuncSet) else TOP)
             prior = resolved.get(addr)
             if prior is None:
                 resolved[addr] = found
-            elif prior is not _TOP and found is not _TOP:
+            elif prior is not TOP and found is not TOP:
                 resolved[addr] = prior | found
             else:
-                resolved[addr] = _TOP
+                resolved[addr] = TOP
             if op is Op.CALL_R:
                 regs.clear()
         elif instr.reg1 is not None and op is not Op.STORE \
                 and op is not Op.STORE8:
             # any other reg1-writing op produces an unknown value
-            regs[instr.reg1] = _TOP
+            regs[instr.reg1] = TOP
 
-    def merge(left: Dict[str, object],
-              right: Dict[str, object]) -> Dict[str, object]:
+    def join(left: Dict[str, object],
+             right: Dict[str, object]) -> Dict[str, object]:
         return {reg: left[reg] for reg in left
                 if reg in right and left[reg] == right[reg]}
 
-    in_states: Dict[int, Dict[str, object]] = {cfg.entry: {}}
-    worklist = [cfg.entry]
-    while worklist:
-        start = worklist.pop()
-        block = cfg.blocks.get(start)
-        if block is None:
-            continue
-        regs = dict(in_states[start])
-        for addr, instr in block.instructions:
-            transfer(regs, addr, instr)
-        for succ in block.successors:
-            if succ not in in_states:
-                in_states[succ] = dict(regs)
-                worklist.append(succ)
-            else:
-                merged = merge(in_states[succ], regs)
-                if merged != in_states[succ]:
-                    in_states[succ] = merged
-                    worklist.append(succ)
+    solve(cfg, {}, transfer, join)
     return {site: tuple(sorted(names))
             for site, names in resolved.items()
-            if names is not _TOP and names}
+            if names is not TOP and names}
 
 
-def resolve_indirect_sites(image: ProgramImage
-                           ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
-    """Per-function resolved targets of every provable indirect site."""
-    tables = _collect_pointer_tables(image)
+def _resolve_sites(image: ProgramImage,
+                   tables: Mapping[str, PointerTable]
+                   ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
     if not tables:
         return {}
     bases = _section_bases(image)
@@ -281,6 +256,12 @@ def resolve_indirect_sites(image: ProgramImage
         if sites:
             result[sym.name] = sites
     return result
+
+
+def resolve_indirect_sites(image: ProgramImage
+                           ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
+    """Per-function resolved targets of every provable indirect site."""
+    return _resolve_sites(image, _collect_pointer_tables(image))
 
 
 def analyze_image_pointers(image: ProgramImage) -> AliasAnalysis:
@@ -298,4 +279,4 @@ def analyze_image_pointers(image: ProgramImage) -> AliasAnalysis:
     return AliasAnalysis(image.name, frozenset(offsets),
                          pointer_tables=tables,
                          address_taken=taken,
-                         indirect_targets=resolve_indirect_sites(image))
+                         indirect_targets=_resolve_sites(image, tables))

@@ -30,8 +30,9 @@ silently unsound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
+from repro.analysis.cfg import INDIRECT_OPS, symbol_resolver
 from repro.errors import SymbolNotFound
 from repro.loader.image import ProgramImage, Symbol
 from repro.machine.disasm import disassemble_bytes
@@ -40,8 +41,6 @@ from repro.machine.isa import INSTR_SIZE, Op
 #: Pseudo-callee marking a statically unresolvable branch target
 #: (``CALL_R``/``JMP_R``/``JMP_M``) inside a function body.
 INDIRECT = "<indirect>"
-
-_INDIRECT_OPS = (Op.CALL_R, Op.JMP_R, Op.JMP_M)
 
 
 @dataclass
@@ -97,9 +96,11 @@ class CallGraph:
 
 
 def _isa_call_targets(image: ProgramImage, sym: Symbol,
-                      site_targets: Mapping[int, Tuple[str, ...]] = {},
+                      resolve: Callable[[int], Optional[str]],
+                      site_targets: Mapping[int, Tuple[str, ...]],
                       ) -> Set[str]:
-    """Disassemble one ISA function and resolve direct branch targets.
+    """Disassemble one ISA function and resolve direct branch targets
+    through ``resolve`` (:func:`~repro.analysis.cfg.symbol_resolver`).
 
     ``site_targets`` carries the alias analysis's per-site proof for
     indirect branches; a site it resolves contributes concrete edges, an
@@ -109,7 +110,7 @@ def _isa_call_targets(image: ProgramImage, sym: Symbol,
     body = text[sym.offset:sym.offset + sym.size]
     targets: Set[str] = set()
     for addr, instr in disassemble_bytes(body, base=sym.offset):
-        if instr.op in _INDIRECT_OPS:
+        if instr.op in INDIRECT_OPS:
             resolved_names = site_targets.get(addr)
             if resolved_names:
                 targets.update(name for name in resolved_names
@@ -120,38 +121,10 @@ def _isa_call_targets(image: ProgramImage, sym: Symbol,
         if instr.op not in (Op.CALL, Op.JMP):
             continue
         # next-instruction relative displacement
-        target_offset = addr + INSTR_SIZE + instr.imm
-        resolved = _symbol_containing(image, target_offset)
-        if resolved is not None and resolved.name != sym.name:
-            targets.add(resolved.name)
+        name = resolve(addr + INSTR_SIZE + instr.imm)
+        if name is not None and name != sym.name:
+            targets.add(name)
     return targets
-
-
-def _symbol_containing(image: ProgramImage,
-                       text_like_offset: int) -> Optional[Symbol]:
-    """Map a base-relative offset to the function containing it.
-
-    Handles both ``.text`` offsets and ``.plt`` offsets (PLT entries live
-    after ``.text`` in the image layout, and intra-image displacement math
-    already accounts for the section bases).
-    """
-    layout = {name: (off, size) for name, off, size
-              in image.section_layout()}
-    for sym in image.symbols:
-        if sym.kind != "func":
-            continue
-        base = layout[sym.section][0] if sym.section in layout else 0
-        # ISA displacements were computed against section-relative
-        # addresses inside .text; PLT symbols need the section offset.
-        if sym.section == ".text":
-            start = sym.offset
-        elif sym.section == ".plt":
-            start = (layout[".plt"][0] - layout[".text"][0]) + sym.offset
-        else:
-            continue
-        if start <= text_like_offset < start + sym.size:
-            return sym
-    return None
 
 
 def build_callgraph(image: ProgramImage, alias=None) -> CallGraph:
@@ -168,6 +141,7 @@ def build_callgraph(image: ProgramImage, alias=None) -> CallGraph:
         from repro.analysis.alias import analyze_image_pointers
         alias = analyze_image_pointers(image)
     graph = CallGraph(image.name)
+    resolve = symbol_resolver(image)
     hl_by_name = {hl.name: hl for hl in image.hl_functions}
     for sym in image.function_symbols():
         if sym.section != ".text":
@@ -186,7 +160,7 @@ def build_callgraph(image: ProgramImage, alias=None) -> CallGraph:
             graph.edges[sym.name] = resolved
         else:
             graph.edges[sym.name] = _isa_call_targets(
-                image, sym, alias.indirect_targets.get(sym.name, {}))
+                image, sym, resolve, alias.indirect_targets.get(sym.name, {}))
     return graph
 
 

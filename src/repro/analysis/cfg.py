@@ -27,6 +27,12 @@ This module recovers, per function:
 Decoding happens on raw section bytes, so CFGs can be recovered from an
 unloaded :class:`~repro.loader.image.ProgramImage` (offline verification)
 or from privileged reads of a live address space (bring-up audit).
+
+The dataflow passes over these CFGs (the PKRU gate proof, scope's
+register taint, alias's pointer-table propagation) share one fixpoint
+loop, :func:`solve`, and one ⊤, :data:`TOP`.  Each keeps its own
+domain, transfer and join, because the passes read the same instruction
+differently.
 """
 
 from __future__ import annotations
@@ -113,6 +119,52 @@ class FunctionCFG:
     @property
     def instruction_count(self) -> int:
         return sum(len(b.instructions) for b in self.blocks.values())
+
+
+class _Top:
+    """⊤: the value a dataflow pass cannot pin down."""
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "⊤"
+
+
+#: the one ⊤ of every dataflow pass: a join of disagreeing values, or
+#: whatever a transfer does not model
+TOP = _Top()
+
+
+def solve(cfg: FunctionCFG, entry_state: Dict,
+          transfer: Callable[[Dict, int, Instruction], None],
+          join: Callable[[Dict, Dict], Dict]) -> Dict[int, Dict]:
+    """Run a forward dataflow pass over ``cfg`` to its fixpoint.
+
+    A state is a dict.  ``transfer(state, addr, instr)`` updates a copy of
+    a block's entry state in place, one instruction at a time, and
+    ``join(old, new)`` gives a block's entry state where paths meet.  The
+    worklist is LIFO, a block's successors are pushed in CFG order, and a
+    block is revisited only when ``join(old, new) != old``.  Passes that
+    observe every visit rely on that order: scope keeps what it sees
+    before the fixpoint too, and the gate pass reports findings in the
+    order it first sees them.  Returns the entry state of every block
+    reached.
+    """
+    in_states = {cfg.entry: entry_state}
+    worklist = [cfg.entry]
+    while worklist:
+        start = worklist.pop()
+        block = cfg.blocks.get(start)
+        if block is None:
+            continue
+        state = dict(in_states[start])
+        for addr, instr in block.instructions:
+            transfer(state, addr, instr)
+        for succ in block.successors:
+            old = in_states.get(succ)
+            new = dict(state) if old is None else join(old, state)
+            if old is None or new != old:
+                in_states[succ] = new
+                worklist.append(succ)
+    return in_states
 
 
 def _branch_target(addr: int, instr: Instruction) -> int:

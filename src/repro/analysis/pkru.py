@@ -16,11 +16,12 @@ about ``wrpkru``:
    restored PKRU to the closed value first.
 
 This module proves those properties by abstract interpretation over the
-recovered CFG (:mod:`repro.analysis.cfg`).  The abstract state tracks
-PKRU plus the three registers ``wrpkru`` consumes (``rax`` carries the
-new value; ``rcx``/``rdx`` must be zero, mirroring the hardware check the
-CPU model enforces) through constant propagation; any join of unequal
-values widens to ⊤ (unknown), which the checks treat pessimistically.
+recovered CFG, run to its fixpoint by :func:`repro.analysis.cfg.solve`.
+The abstract state tracks PKRU plus the three registers ``wrpkru``
+consumes (``rax`` carries the new value; ``rcx``/``rdx`` must be zero,
+mirroring the hardware check the CPU model enforces) through constant
+propagation; any join of unequal values widens to ⊤ (unknown), which the
+checks treat pessimistically.
 
 Finding codes:
 
@@ -40,9 +41,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import (
+    TOP,
     FunctionCFG,
-    function_cfg,
     image_cfgs,
+    solve,
     symbol_resolver,
 )
 from repro.analysis.findings import Finding, Severity
@@ -63,15 +65,6 @@ class GatePolicy:
     gate_symbols: FrozenSet[str] = frozenset({"smvx_gate"})
     trampoline_symbol: str = "smvx_trampoline"
 
-
-class _Top:
-    """Singleton ⊤ for the constant lattice."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "⊤"
-
-
-TOP = _Top()
 
 _TRACKED = ("rax", "rcx", "rdx")
 
@@ -94,41 +87,23 @@ _REG1_WRITES = frozenset({
 })
 
 
-def _merge_value(left, right):
-    if left is TOP or right is TOP or left != right:
-        return TOP
-    return left
+#: the abstract state at a program point: ``pkru`` and each of
+#: ``_TRACKED`` hold an int constant or TOP; ``gate_called`` says a gate
+#: entry happened since the last open
+_GateState = Dict[str, object]
 
 
-@dataclass
-class _State:
-    """Abstract machine state at a program point."""
-
-    pkru: object          # int constant or TOP
-    regs: Dict[str, object]
-    gate_called: bool     # a gate entry happened since the last open
-
-    def copy(self) -> "_State":
-        return _State(self.pkru, dict(self.regs), self.gate_called)
-
-    def merge(self, other: "_State") -> "_State":
-        return _State(
-            _merge_value(self.pkru, other.pkru),
-            {reg: _merge_value(self.regs[reg], other.regs[reg])
-             for reg in _TRACKED},
-            self.gate_called and other.gate_called)
-
-    def same_as(self, other: "_State") -> bool:
-        def key(value):
-            return ("T",) if value is TOP else ("C", value)
-        return (key(self.pkru) == key(other.pkru)
-                and self.gate_called == other.gate_called
-                and all(key(self.regs[r]) == key(other.regs[r])
-                        for r in _TRACKED))
+def _join(old: _GateState, new: _GateState) -> _GateState:
+    """Unequal constants widen to TOP; a gate entry counts only when
+    every path made one."""
+    joined = {key: old[key] if old[key] == new[key] else TOP
+              for key in old}
+    joined["gate_called"] = old["gate_called"] and new["gate_called"]
+    return joined
 
 
 class _GateAnalysis:
-    """Worklist abstract interpretation of one function."""
+    """Abstract interpretation of one function."""
 
     def __init__(self, cfg: FunctionCFG, policy: GatePolicy,
                  resolve: Callable[[int], Optional[str]],
@@ -137,6 +112,7 @@ class _GateAnalysis:
         self.policy = policy
         self.resolve = resolve
         self.image_name = image_name
+        self._escapes = dict(cfg.escapes)
         self._findings: Dict[Tuple[str, int, str], Finding] = {}
 
     # -- findings (deduplicated: transfer re-runs to fixpoint) --------------
@@ -151,50 +127,50 @@ class _GateAnalysis:
 
     # -- transfer -----------------------------------------------------------
 
-    def _transfer(self, state: _State, addr: int,
-                  instr: Instruction) -> _State:
+    def _transfer(self, state: _GateState, addr: int,
+                  instr: Instruction) -> None:
         op = instr.op
         policy = self.policy
 
         if op is Op.WRPKRU:
             for reg in ("rcx", "rdx"):
-                if state.regs[reg] is TOP or state.regs[reg] != 0:
+                if state[reg] is TOP or state[reg] != 0:
                     self._flag("PKRU002", Severity.ERROR, addr,
                                f"wrpkru reachable with {reg} not proven "
                                f"zero (hardware would fault, but the "
                                f"path exists)")
-            value = state.regs["rax"]
+            value = state["rax"]
             if value is TOP:
                 self._flag("PKRU003", Severity.ERROR, addr,
                            "wrpkru writes a non-constant PKRU value")
-                state.pkru = TOP
+                state["pkru"] = TOP
             elif value == policy.pkru_open:
-                state.pkru = policy.pkru_open
-                state.gate_called = False
+                state["pkru"] = policy.pkru_open
+                state["gate_called"] = False
             elif value == policy.pkru_closed:
-                if state.pkru == policy.pkru_open \
-                        and not state.gate_called:
+                if state["pkru"] == policy.pkru_open \
+                        and not state["gate_called"]:
                     self._flag("PKRU006", Severity.WARNING, addr,
                                "monitor key opened and closed without "
                                "entering the gate")
-                state.pkru = policy.pkru_closed
+                state["pkru"] = policy.pkru_closed
             else:
                 self._flag("PKRU003", Severity.ERROR, addr,
                            f"wrpkru writes unexpected constant "
                            f"{value:#x} (neither the open nor the "
                            f"closed PKRU)")
-                state.pkru = value
-            return state
+                state["pkru"] = value
+            return
 
         if op is Op.RDPKRU:
-            state.regs["rax"] = state.pkru
-            return state
+            state["rax"] = state["pkru"]
+            return
 
         if op in (Op.CALL, Op.HLCALL, Op.CALL_R):
-            if state.pkru is TOP:
+            if state["pkru"] is TOP:
                 self._flag("PKRU005", Severity.ERROR, addr,
                            "call executed with indeterminate PKRU")
-            elif state.pkru == self.policy.pkru_open:
+            elif state["pkru"] == self.policy.pkru_open:
                 target_name = None
                 if op is Op.CALL:
                     target_name = self.resolve(addr + INSTR_SIZE
@@ -209,81 +185,59 @@ class _GateAnalysis:
                                f"{target_name or 'unknown code'!r}, not "
                                f"a registered gate entry")
                 else:
-                    state.gate_called = True
+                    state["gate_called"] = True
             for reg in _TRACKED:      # caller-saved: callee clobbers
-                state.regs[reg] = TOP
-            return state
+                state[reg] = TOP
+            return
 
         if op in (Op.JMP_R, Op.JMP_M) and (
-                state.pkru is TOP
-                or state.pkru == self.policy.pkru_open):
+                state["pkru"] is TOP
+                or state["pkru"] == self.policy.pkru_open):
             self._flag("PKRU005", Severity.ERROR, addr,
                        "indirect jump while the monitor key is open or "
                        "indeterminate")
-            return state
+            return
 
         if op is Op.RET:
             self._check_exit(state, addr, "returns to application code")
-            return state
+            return
+
+        if addr in self._escapes:
+            # direct jump out of the function: the monitor key must be
+            # closed before control leaves
+            self._check_exit(state, addr, "jumps out of the function")
+            return
 
         # ---- plain constant propagation ----
         if op in _REG1_WRITES and instr.reg1 in _TRACKED:
-            state.regs[instr.reg1] = self._value_of(state, instr)
-        return state
+            state[instr.reg1] = self._value_of(state, instr)
 
-    def _value_of(self, state: _State, instr: Instruction):
+    def _value_of(self, state: _GateState, instr: Instruction):
         op = instr.op
         if op is Op.MOV_RI:
             return instr.imm
         if op is Op.MOV_RR:
-            return (state.regs[instr.reg2] if instr.reg2 in _TRACKED
-                    else TOP)
+            return state[instr.reg2] if instr.reg2 in _TRACKED else TOP
         if op is Op.XOR_RR and instr.reg1 == instr.reg2:
             return 0
         if op in _ARITH_RI:
-            current = state.regs[instr.reg1]
+            current = state[instr.reg1]
             if current is not TOP:
                 return _ARITH_RI[op](current, instr.imm)
         return TOP
 
-    def _check_exit(self, state: _State, addr: int, how: str) -> None:
-        if state.pkru is TOP or state.pkru != self.policy.pkru_closed:
-            shown = ("indeterminate" if state.pkru is TOP
-                     else f"{state.pkru:#x}")
+    def _check_exit(self, state: _GateState, addr: int, how: str) -> None:
+        pkru = state["pkru"]
+        if pkru is TOP or pkru != self.policy.pkru_closed:
+            shown = "indeterminate" if pkru is TOP else f"{pkru:#x}"
             self._flag("PKRU004", Severity.ERROR, addr,
                        f"exit path {how} with PKRU {shown} instead of "
                        f"the closed value {self.policy.pkru_closed:#x}")
 
-    # -- driver --------------------------------------------------------------
-
-    def run(self, entry_state: Optional[_State] = None) -> List[Finding]:
-        cfg = self.cfg
-        if entry_state is None:
-            entry_state = _State(self.policy.pkru_closed,
-                                 {reg: TOP for reg in _TRACKED}, True)
-        in_states: Dict[int, _State] = {cfg.entry: entry_state}
-        worklist = [cfg.entry]
-        escape_sites = dict(cfg.escapes)
-        while worklist:
-            start = worklist.pop()
-            block = cfg.blocks.get(start)
-            if block is None:
-                continue
-            state = in_states[start].copy()
-            for addr, instr in block.instructions:
-                state = self._transfer(state, addr, instr)
-                if addr in escape_sites:
-                    # direct jump out of the function: the monitor key
-                    # must be closed before control leaves
-                    self._check_exit(state, addr,
-                                     "jumps out of the function")
-            for succ in block.successors:
-                merged = (state if succ not in in_states
-                          else in_states[succ].merge(state))
-                if succ not in in_states \
-                        or not merged.same_as(in_states[succ]):
-                    in_states[succ] = merged
-                    worklist.append(succ)
+    def run(self) -> List[Finding]:
+        entry = dict.fromkeys(_TRACKED, TOP)
+        entry.update(pkru=self.policy.pkru_closed, gate_called=True)
+        solve(self.cfg, entry, self._transfer, _join)
         return list(self._findings.values())
 
 

@@ -26,9 +26,9 @@ Pipeline
    (soundness over precision — the differential harness checks the
    direction).
 3. **ISA refinement** — for real machine-code functions, an
-   abstract-interpretation dataflow (worklist-to-fixpoint in the style of
-   :mod:`repro.analysis.pkru`) tracks a taint bit and a constant address
-   per register.  It can *prove a callee clean* (pure register
+   abstract-interpretation dataflow (run to its fixpoint by
+   :func:`repro.analysis.cfg.solve`) tracks a taint bit and a constant
+   address per register.  It can *prove a callee clean* (pure register
    computation: no memory read can observe tainted bytes) and it carries
    taint through **statically known memory slots**: a tainted register
    stored to a ``LEA``-derived ``.data``/``.bss`` address taints that
@@ -64,7 +64,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.alias import AliasAnalysis, analyze_image_pointers
 from repro.analysis.callgraph import INDIRECT, CallGraph, build_callgraph
-from repro.analysis.cfg import FunctionCFG, function_cfg
+from repro.analysis.cfg import FunctionCFG, function_cfg, solve
 from repro.loader.image import ProgramImage
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
 
@@ -185,7 +185,7 @@ class ScopeReport:
 
 
 # ---------------------------------------------------------------------------
-# ISA refinement: register-taint + known-slot dataflow (pkru.py style)
+# ISA refinement: register-taint + known-slot dataflow (cfg.solve)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -205,11 +205,11 @@ _Value = Tuple[Optional[int], bool]
 
 
 class _IsaTaintAnalysis:
-    """Worklist abstract interpretation of one ISA function.
+    """Abstract interpretation of one ISA function.
 
     The lattice is a product per register: a constant-address component
-    (``LEA``-derived, widening to unknown on disagreeing joins — same
-    discipline as the PKRU gate pass) and a may-taint bit (join is OR).
+    (``LEA``-derived; a disagreeing join widens it to None, no known
+    address) and a may-taint bit (join is OR).
     ``tainted_entry`` models the calling context: invoked from a tainted
     caller, every incoming register — and the stack, and any memory a
     statically unknown pointer reaches — may carry taint.
@@ -288,39 +288,17 @@ class _IsaTaintAnalysis:
         elif op in (Op.SYSCALL, Op.RDPKRU):
             regs["rax"] = (None, self.tainted_entry)
 
-    # -- driver ------------------------------------------------------------
+    def _join(self, left: Dict[str, _Value],
+              right: Dict[str, _Value]) -> Dict[str, _Value]:
+        merged: Dict[str, _Value] = {}
+        for reg in set(left) | set(right):
+            lv, lt = left.get(reg, self._default())
+            rv, rt = right.get(reg, self._default())
+            merged[reg] = (lv if lv == rv else None, lt or rt)
+        return merged
 
     def run(self) -> _IsaSummary:
-        cfg = self.cfg
-        in_states: Dict[int, Dict[str, _Value]] = {cfg.entry: {}}
-        worklist = [cfg.entry]
-
-        def merge(left: Dict[str, _Value],
-                  right: Dict[str, _Value]) -> Dict[str, _Value]:
-            merged: Dict[str, _Value] = {}
-            for reg in set(left) | set(right):
-                lv, lt = left.get(reg, self._default())
-                rv, rt = right.get(reg, self._default())
-                merged[reg] = (lv if lv == rv else None, lt or rt)
-            return merged
-
-        while worklist:
-            start = worklist.pop()
-            block = cfg.blocks.get(start)
-            if block is None:
-                continue
-            regs = dict(in_states[start])
-            for addr, instr in block.instructions:
-                self._transfer(regs, addr, instr)
-            for succ in block.successors:
-                if succ not in in_states:
-                    in_states[succ] = dict(regs)
-                    worklist.append(succ)
-                else:
-                    merged = merge(in_states[succ], regs)
-                    if merged != in_states[succ]:
-                        in_states[succ] = merged
-                        worklist.append(succ)
+        solve(self.cfg, {}, self._transfer, self._join)
         return self.summary
 
 

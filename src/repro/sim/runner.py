@@ -22,6 +22,7 @@ time when ``recheck`` is set and classifies any digest mismatch as
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -202,14 +203,11 @@ def _wire_tap(run) -> "hashlib._Hash":
     return wire
 
 
-def _execute(scenario: Scenario) -> RawRun:
+def _drive(scenario: Scenario, run, raw: RawRun) -> None:
+    """Start and drive the run, and record what the oracle reads of it
+    before teardown."""
     from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
 
-    raw = RawRun()
-    run = build(deployment(scenario))
-    kernel = run.kernel
-    wire = _wire_tap(run) if run.cluster is not None else None
-    _arm_mutation(scenario, kernel)
     run.start()
     diverged = False
     try:
@@ -220,7 +218,7 @@ def _execute(scenario: Scenario) -> RawRun:
         _fill_traffic(raw, run.result)
     if run.exploit is not None:
         raw.attack = {
-            "directory_created": kernel.vfs.is_dir(VICTIM_DIRECTORY),
+            "directory_created": run.kernel.vfs.is_dir(VICTIM_DIRECTORY),
             "server_crashed": run.exploit.server_crashed,
             "divergence_detected": run.exploit.divergence_detected,
             "alarm_count": run.exploit.alarm_count,
@@ -232,6 +230,22 @@ def _execute(scenario: Scenario) -> RawRun:
         # final served counts) into the digests the oracle compares
         raw.digests["supervisor"] = json.dumps(run.supervisor.snapshot(),
                                                sort_keys=True)
+
+
+def _execute(scenario: Scenario) -> RawRun:
+    raw = RawRun()
+    run = build(deployment(scenario))
+    kernel = run.kernel
+    wire = _wire_tap(run) if run.cluster is not None else None
+    _arm_mutation(scenario, kernel)
+    try:
+        _drive(scenario, run, raw)
+    except Exception:
+        # a crash must not strand the run's tasks on their host threads;
+        # its first error stays the crash report even if teardown fails
+        with contextlib.suppress(Exception):
+            run.shutdown()
+        raise
     run.shutdown()
     raw.alarms = _alarm_dicts(run.leader.alarms)
     _snapshot_plane(raw, kernel.faults, "fault")

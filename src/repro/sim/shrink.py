@@ -107,7 +107,9 @@ def _axis_candidates(scenario: Scenario) -> List[Dict]:
         out.append({"variant_strategy": "shift"})
     if scenario.workers > 2:
         out.append({"workers": 2})
-    if scenario.smvx and scenario.attack == "none":
+    if scenario.smvx and scenario.attack == "none" \
+            and scenario.workload != "cluster":
+        # a cluster always runs protected minx (runner.deployment)
         out.append({"smvx": False, "protect": None})
     if scenario.schedule is not None:
         out.append({"schedule": None})

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.analysis.cfg import (
+    TOP,
     FunctionCFG,
     function_cfg,
     image_cfgs,
     recover_cfg,
+    solve,
     symbol_resolver,
 )
 from repro.loader import ImageBuilder
@@ -148,3 +150,74 @@ def test_symbol_resolver_maps_text_and_plt():
     plt_offset = (layout[".plt"][0] - layout[".text"][0]) + plt_sym.offset
     assert resolve(plt_offset) == plt_sym.name
     assert resolve(10**9) is None
+
+
+# ---------------------------------------------------------------------------
+# solve: the one fixpoint loop of the dataflow passes
+# ---------------------------------------------------------------------------
+
+def _constants(visits):
+    """A toy constant-propagation pass that logs every transfer."""
+    def transfer(state, addr, instr):
+        visits.append(addr)
+        if instr.op is Op.MOV_RI:
+            state[instr.reg1] = instr.imm
+        elif instr.op in (Op.ADD_RI, Op.SUB_RI):
+            value = state.get(instr.reg1, TOP)
+            sign = 1 if instr.op is Op.ADD_RI else -1
+            state[instr.reg1] = (TOP if value is TOP
+                                 else value + sign * instr.imm)
+
+    def join(old, new):
+        return {reg: value if new.get(reg, TOP) == value else TOP
+                for reg, value in old.items()}
+
+    return transfer, join
+
+
+def test_solve_revisits_a_loop_header_until_join_stops_changing():
+    def build(a):
+        a.mov_ri("rcx", 4)          # 0x00
+        a.label("loop")
+        a.sub_ri("rcx", 1)          # 0x10  loop header
+        a.cmp_ri("rcx", 0)          # 0x20
+        a.jne("loop")               # 0x30 -> back edge, then 0x40
+        a.ret()                     # 0x40
+    cfg = recover_cfg(asm_bytes(build), base=0, name="f")
+    visits = []
+    states = solve(cfg, {}, *_constants(visits))
+    # the back edge widens the header's rcx from 4 to TOP, so the header
+    # runs again; the second pass brings TOP back, and join keeps it.
+    # LIFO with successors pushed in CFG order: the exit block (pushed
+    # last) runs before the revisited header.
+    blocks = [addr for addr in visits if addr in cfg.blocks]
+    assert blocks == [0x00, 0x10, 0x40, 0x10, 0x40]
+    assert states[0x10] == {"rcx": TOP}
+    assert states[0x40] == {"rcx": TOP}
+
+
+def test_solve_terminates_on_a_self_loop():
+    def build(a):
+        a.label("spin")
+        a.add_ri("rax", 1)          # 0x00
+        a.jmp("spin")               # 0x10 -> itself
+    cfg = recover_cfg(asm_bytes(build), base=0, name="f")
+    assert cfg.blocks[0x00].successors == (0x00,)
+    visits = []
+    states = solve(cfg, {"rax": 0}, *_constants(visits))
+    assert visits == [0x00, 0x10, 0x00, 0x10]
+    assert states == {0x00: {"rax": TOP}}
+
+
+def test_solve_never_transfers_an_unreachable_block():
+    def build(a):
+        a.mov_ri("rax", 1)          # 0x00
+        a.ret()                     # 0x10
+        a.mov_ri("rax", 2)          # 0x20  dead: nothing jumps here
+        a.ret()                     # 0x30
+    cfg = recover_cfg(asm_bytes(build), base=0, name="f")
+    assert 0x20 in cfg.blocks
+    visits = []
+    states = solve(cfg, {}, *_constants(visits))
+    assert visits == [0x00, 0x10]
+    assert set(states) == {0x00}

@@ -11,9 +11,15 @@ import pytest
 
 from repro.kernel.faults import FaultSchedule
 from repro.sim import OK_CLASSES, generate_matrix
-from repro.sim.runner import run_scenario
+from repro.sim.runner import deployment, run_scenario
 from repro.sim.scenario import Scenario
-from repro.sim.shrink import _ddmin, shrink, signature_of
+from repro.sim.shrink import (
+    _axis_candidates,
+    _clone,
+    _ddmin,
+    shrink,
+    signature_of,
+)
 from repro.trace.capsule import ScenarioCapsule
 
 MASTER = "shrink-suite"
@@ -117,3 +123,16 @@ def test_ddmin_finds_the_needed_subset():
 
     result = _ddmin(list(range(10)), test_fn)
     assert sorted(result) == [3, 7]
+
+
+@pytest.mark.parametrize("master,count", [("bench-swarm", 130),
+                                          ("nightly-sweep", 200),
+                                          ("ci-smoke", 25)])
+def test_every_axis_candidate_changes_the_deployment(master, count):
+    """A kept reduction that runs the same deployment would write a
+    scenario into the capsule that is not the run it reproduced."""
+    for scenario in generate_matrix(master, count):
+        original = deployment(scenario)
+        for overrides in _axis_candidates(scenario):
+            assert deployment(_clone(scenario, **overrides)) != original, \
+                f"{scenario.describe()}: {overrides} changes nothing"

@@ -17,7 +17,7 @@ from repro.cluster.scenarios import build_littled_cluster, run_distributed_ab
 from repro.kernel import Kernel
 from repro.sim import OK_CLASSES
 from repro.sim.runner import run_scenario
-from repro.sim.scenario import generate_matrix
+from repro.sim.scenario import Scenario, generate_matrix
 from repro.trace import record_littled, replay_trace
 from repro.workloads.ab import ApacheBench
 
@@ -79,10 +79,20 @@ def bench_swarm_scenarios():
         assert run_scenario(matrix[index]).klass in OK_CLASSES
 
 
+def crashed_sim_run():
+    """A scheduled littled whose client raises after the workers have
+    started: the run is classified ``crash`` and still torn down."""
+    outcome = run_scenario(Scenario(
+        index=0, master_seed="leak", workload="littled", workers=2,
+        smvx=False, protect=None, client_mode="bogus"))
+    assert outcome.klass == "crash"
+    assert outcome.raw.error_kind == "ValueError"
+
+
 SHAPES = [supervised_littled_record_and_replay,
           supervised_littled_plain_replay, protected_minx_then_cve,
           distributed_ab, recorded_littled_cluster_finish,
-          bench_swarm_scenarios]
+          bench_swarm_scenarios, crashed_sim_run]
 
 
 @pytest.mark.parametrize("run", SHAPES, ids=[run.__name__ for run in SHAPES])
