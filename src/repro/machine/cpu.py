@@ -14,23 +14,24 @@ Two escape hatches connect the machine to the rest of the system:
 
 Every instruction charges :attr:`CostModel.instruction_ns` of virtual time.
 
-Two interpreters produce identical architectural results:
+Each opcode is defined once, by its handler in a per-opcode table.  Two
+interpreters run that table and differ only in how they fetch and charge:
 
 * the **precise path** (:meth:`CPU.step`): fetch, fire ``trace_hook``,
-  charge the counter, execute via a per-opcode handler table.  It runs
-  whenever anything observes execution at instruction or access
-  granularity — a ``trace_hook``, a memory observer on the address space,
-  or a ``CycleCounter`` listener — and for every direct ``step()`` call.
+  charge the counter, run the handler.  It runs whenever anything
+  observes execution at instruction or access granularity — a
+  ``trace_hook``, a memory observer on the address space, or a
+  ``CycleCounter`` listener — and for every direct ``step()`` call.
 * the **fast path** (inside :meth:`CPU.run`): fetches through a per-page
   decoded-instruction cache (decode each text page's slots once, dropped
-  by the MMU whenever the page is written or remapped), inlines the hot
-  opcodes, and batches virtual-time charging — ``instruction_ns`` is
-  accumulated locally and flushed to the counter at block boundaries
-  (``SYSCALL``/``HLCALL``, any fault, and run exit).  Because every cost
-  constant is an exactly-representable binary fraction, the batched sums
-  are bit-identical to per-instruction charging, and the flush always
-  happens *before* host callbacks run, so the kernel observes the same
-  virtual clock either way.
+  by the MMU whenever the page is written or remapped), and batches
+  virtual-time charging — ``instruction_ns`` is accumulated locally and
+  flushed to the counter at block boundaries (``SYSCALL``/``HLCALL``, any
+  fault, and run exit).  Because every cost constant is an
+  exactly-representable binary fraction, the batched sums are
+  bit-identical to per-instruction charging, and the flush always happens
+  *before* host callbacks run, so the kernel observes the same virtual
+  clock either way.
 
 On the fast tier, :meth:`CPU.run` also retires a whole guest call in one
 step (:meth:`CPU._run_call`): ``JMP_M [slot]`` → ``HLCALL n`` → ``RET``,
@@ -55,9 +56,9 @@ fails after the gate, or the gate's ``RET`` does not return into the
 trampoline.
 
 ``CPU.force_slow_path`` (class-wide or per instance) pins the precise
-path; the differential tests use it to prove both interpreters agree.
-The precise path stays the reference for the fast loop and the one-step
-alike.
+path; the differential tests use it to prove that the fast loop and the
+one-steps agree with it.  What each handler computes is checked against
+an independent model in ``tests/machine/test_cpu_differential.py``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from repro.machine.memory import (
     _WORD_STRUCT,
 )
 from repro.machine.mpk import PKRU_MASK
-from repro.machine.registers import RegisterFile
+from repro.machine.registers import FLAG_CF, FLAG_SF, FLAG_ZF, RegisterFile
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,7 +88,9 @@ _PLAN_OPS = frozenset(int(op) for op in (
     Op.PUSH_R, Op.MOV_RI, Op.MOV_RR, Op.ADD_RI, Op.WRPKRU))
 
 #: Synthetic return address meaning "return control to the host caller".
-#: It sits in non-canonical space so it can never collide with a mapping.
+#: It is canonical user space that the layout leaves unmapped: loader
+#: images start at 0x5555_0000_0000, mmap at 0x7F00_0000_0000, and stacks
+#: sit below 0x7FFE_0000_0000.
 HOST_RETURN_ADDRESS = 0x0FFF_DEAD_0000
 
 
@@ -98,11 +101,6 @@ class ExecState:
     regs: RegisterFile
     pkru: int = 0
 
-    def clone(self) -> "ExecState":
-        state = ExecState(RegisterFile(), self.pkru)
-        state.regs.load_snapshot(self.regs.snapshot())
-        return state
-
 
 class CpuExit(Exception):
     """Raised (internally) to stop the run loop; carries the reason."""
@@ -112,209 +110,306 @@ class CpuExit(Exception):
         self.reason = reason
 
 
-# -- precise-path opcode handlers ---------------------------------------------
+# -- opcode handlers ----------------------------------------------------------
 #
-# One function per opcode, indexed by opcode byte.  Handlers run *after*
-# fetch/hook/charge with ``rip`` already advanced to ``rip_next`` — the
-# same contract the old if/elif chain had.
+# One function per opcode, indexed by opcode byte: the one definition of
+# each instruction, run by both CPU.step and CPU._run_fast.  A handler
+# takes the decoded operands and runs after fetch and charge, with ``rip``
+# already advanced to ``rip_next``.  It reads and writes the register dict
+# directly: every register is stored masked to 64 bits, so only a result
+# that can leave that range is masked.
 
 _DISPATCH: List[Optional[Callable]] = [None] * 0x80
 
 
-def _handler(op: Op):
+def _handler(*ops: Op):
     def register(fn):
-        _DISPATCH[int(op)] = fn
+        for op in ops:
+            _DISPATCH[int(op)] = fn
         return fn
     return register
 
 
-@_handler(Op.NOP)
-@_handler(Op.BRK)
-def _op_nop(cpu, state, instr, addr, rip_next):
+@_handler(Op.NOP, Op.BRK)
+def _op_nop(cpu, state, reg1, reg2, imm, rip_next):
     pass
 
 
 @_handler(Op.HLT)
-def _op_hlt(cpu, state, instr, addr, rip_next):
+def _op_hlt(cpu, state, reg1, reg2, imm, rip_next):
     raise CpuExit("hlt")
 
 
 @_handler(Op.MOV_RR)
-def _op_mov_rr(cpu, state, instr, addr, rip_next):
-    state.regs.set(instr.reg1, state.regs.get(instr.reg2))
+def _op_mov_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = regs[reg2]
 
 
 @_handler(Op.MOV_RI)
-def _op_mov_ri(cpu, state, instr, addr, rip_next):
-    state.regs.set(instr.reg1, instr.imm)
+def _op_mov_ri(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] = imm & _MASK64
 
 
 @_handler(Op.LEA)
-def _op_lea(cpu, state, instr, addr, rip_next):
-    state.regs.set(instr.reg1, rip_next + instr.imm)
+def _op_lea(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] = (rip_next + imm) & _MASK64
 
 
 @_handler(Op.LOAD)
-def _op_load(cpu, state, instr, addr, rip_next):
-    base = state.regs.get(instr.reg2)
-    state.regs.set(instr.reg1,
-                   cpu.space.read_word((base + instr.imm) & _MASK64,
-                                       state.pkru))
+def _op_load(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = cpu.space.read_word((regs[reg2] + imm) & _MASK64,
+                                     state.pkru)
 
 
 @_handler(Op.STORE)
-def _op_store(cpu, state, instr, addr, rip_next):
-    base = state.regs.get(instr.reg1)
-    cpu.space.write_word((base + instr.imm) & _MASK64,
-                         state.regs.get(instr.reg2), state.pkru)
+def _op_store(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    cpu.space.write_word((regs[reg1] + imm) & _MASK64, regs[reg2],
+                         state.pkru)
 
 
 @_handler(Op.LOAD8)
-def _op_load8(cpu, state, instr, addr, rip_next):
-    base = state.regs.get(instr.reg2)
-    raw = cpu.space.read((base + instr.imm) & _MASK64, 1, state.pkru)
-    state.regs.set(instr.reg1, raw[0])
+def _op_load8(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = cpu.space.read((regs[reg2] + imm) & _MASK64, 1,
+                                state.pkru)[0]
 
 
 @_handler(Op.STORE8)
-def _op_store8(cpu, state, instr, addr, rip_next):
-    base = state.regs.get(instr.reg1)
-    cpu.space.write((base + instr.imm) & _MASK64,
-                    bytes([state.regs.get(instr.reg2) & 0xFF]), state.pkru)
+def _op_store8(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    cpu.space.write((regs[reg1] + imm) & _MASK64,
+                    bytes((regs[reg2] & 0xFF,)), state.pkru)
 
 
-def _alu(op: Op, fn):
-    @_handler(op)
-    def _op_alu(cpu, state, instr, addr, rip_next, _fn=fn):
-        regs = state.regs
-        regs.set(instr.reg1, _fn(regs, instr))
-    return _op_alu
+@_handler(Op.ADD_RR)
+def _op_add_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] + regs[reg2]) & _MASK64
 
 
-_alu(Op.ADD_RR, lambda r, i: r.get(i.reg1) + r.get(i.reg2))
-_alu(Op.ADD_RI, lambda r, i: r.get(i.reg1) + i.imm)
-_alu(Op.SUB_RR, lambda r, i: r.get(i.reg1) - r.get(i.reg2))
-_alu(Op.SUB_RI, lambda r, i: r.get(i.reg1) - i.imm)
-_alu(Op.AND_RR, lambda r, i: r.get(i.reg1) & r.get(i.reg2))
-_alu(Op.AND_RI, lambda r, i: r.get(i.reg1) & i.imm)
-_alu(Op.OR_RR, lambda r, i: r.get(i.reg1) | r.get(i.reg2))
-_alu(Op.OR_RI, lambda r, i: r.get(i.reg1) | i.imm)
-_alu(Op.XOR_RR, lambda r, i: r.get(i.reg1) ^ r.get(i.reg2))
-_alu(Op.XOR_RI, lambda r, i: r.get(i.reg1) ^ i.imm)
-_alu(Op.SHL_RI, lambda r, i: r.get(i.reg1) << (i.imm & 63))
-_alu(Op.SHR_RI, lambda r, i: r.get(i.reg1) >> (i.imm & 63))
-_alu(Op.MUL_RR, lambda r, i: r.get(i.reg1) * r.get(i.reg2))
-_alu(Op.NOT_R, lambda r, i: ~r.get(i.reg1))
+@_handler(Op.ADD_RI)
+def _op_add_ri(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] + imm) & _MASK64
+
+
+@_handler(Op.SUB_RR)
+def _op_sub_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] - regs[reg2]) & _MASK64
+
+
+@_handler(Op.SUB_RI)
+def _op_sub_ri(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] - imm) & _MASK64
+
+
+@_handler(Op.AND_RR)
+def _op_and_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] &= regs[reg2]
+
+
+@_handler(Op.AND_RI)
+def _op_and_ri(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] &= imm & _MASK64
+
+
+@_handler(Op.OR_RR)
+def _op_or_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] |= regs[reg2]
+
+
+@_handler(Op.OR_RI)
+def _op_or_ri(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] |= imm & _MASK64
+
+
+@_handler(Op.XOR_RR)
+def _op_xor_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] ^= regs[reg2]
+
+
+@_handler(Op.XOR_RI)
+def _op_xor_ri(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] ^= imm & _MASK64
+
+
+@_handler(Op.SHL_RI)
+def _op_shl_ri(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] << (imm & 63)) & _MASK64
+
+
+@_handler(Op.SHR_RI)
+def _op_shr_ri(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs[reg1] >>= imm & 63
+
+
+@_handler(Op.MUL_RR)
+def _op_mul_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = (regs[reg1] * regs[reg2]) & _MASK64
+
+
+@_handler(Op.NOT_R)
+def _op_not_r(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs._regs
+    regs[reg1] = ~regs[reg1] & _MASK64
 
 
 @_handler(Op.CMP_RR)
-def _op_cmp_rr(cpu, state, instr, addr, rip_next):
-    state.regs.set_compare_flags(state.regs.get(instr.reg1),
-                                 state.regs.get(instr.reg2))
+def _op_cmp_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    regs.set_compare_flags(regs._regs[reg1], regs._regs[reg2])
 
 
 @_handler(Op.CMP_RI)
-def _op_cmp_ri(cpu, state, instr, addr, rip_next):
-    state.regs.set_compare_flags(state.regs.get(instr.reg1), instr.imm)
+def _op_cmp_ri(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    regs.set_compare_flags(regs._regs[reg1], imm)
 
 
 @_handler(Op.TEST_RR)
-def _op_test_rr(cpu, state, instr, addr, rip_next):
-    masked = state.regs.get(instr.reg1) & state.regs.get(instr.reg2)
-    state.regs.set_compare_flags(masked, 0)
+def _op_test_rr(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    regs.set_compare_flags(regs._regs[reg1] & regs._regs[reg2], 0)
 
 
 @_handler(Op.JMP)
-def _op_jmp(cpu, state, instr, addr, rip_next):
-    state.regs.rip = (rip_next + instr.imm) & _MASK64
+def _op_jmp(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs.rip = (rip_next + imm) & _MASK64
 
 
 @_handler(Op.JMP_R)
-def _op_jmp_r(cpu, state, instr, addr, rip_next):
-    state.regs.rip = state.regs.get(instr.reg1)
+def _op_jmp_r(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    regs.rip = regs._regs[reg1]
 
 
 @_handler(Op.JMP_M)
-def _op_jmp_m(cpu, state, instr, addr, rip_next):
-    slot = (rip_next + instr.imm) & _MASK64
-    state.regs.rip = cpu.space.read_word(slot, state.pkru)
+def _op_jmp_m(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs.rip = cpu.space.read_word((rip_next + imm) & _MASK64,
+                                         state.pkru)
 
 
-def _jcc(op: Op, taken):
-    @_handler(op)
-    def _op_jcc(cpu, state, instr, addr, rip_next, _taken=taken):
-        regs = state.regs
-        if _taken(regs):
-            regs.rip = (rip_next + instr.imm) & _MASK64
-    return _op_jcc
+@_handler(Op.JE)
+def _op_je(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if regs.flags & FLAG_ZF:
+        regs.rip = (rip_next + imm) & _MASK64
 
 
-_jcc(Op.JE, lambda r: r.zf)
-_jcc(Op.JNE, lambda r: not r.zf)
-_jcc(Op.JL, lambda r: r.sf)
-_jcc(Op.JGE, lambda r: not r.sf)
-_jcc(Op.JB, lambda r: r.cf)
-_jcc(Op.JAE, lambda r: not r.cf)
+@_handler(Op.JNE)
+def _op_jne(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if not regs.flags & FLAG_ZF:
+        regs.rip = (rip_next + imm) & _MASK64
+
+
+@_handler(Op.JL)
+def _op_jl(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if regs.flags & FLAG_SF:
+        regs.rip = (rip_next + imm) & _MASK64
+
+
+@_handler(Op.JGE)
+def _op_jge(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if not regs.flags & FLAG_SF:
+        regs.rip = (rip_next + imm) & _MASK64
+
+
+@_handler(Op.JB)
+def _op_jb(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if regs.flags & FLAG_CF:
+        regs.rip = (rip_next + imm) & _MASK64
+
+
+@_handler(Op.JAE)
+def _op_jae(cpu, state, reg1, reg2, imm, rip_next):
+    regs = state.regs
+    if not regs.flags & FLAG_CF:
+        regs.rip = (rip_next + imm) & _MASK64
 
 
 @_handler(Op.CALL)
-def _op_call(cpu, state, instr, addr, rip_next):
+def _op_call(cpu, state, reg1, reg2, imm, rip_next):
     cpu._push(state, rip_next)
-    state.regs.rip = (rip_next + instr.imm) & _MASK64
+    state.regs.rip = (rip_next + imm) & _MASK64
 
 
 @_handler(Op.CALL_R)
-def _op_call_r(cpu, state, instr, addr, rip_next):
+def _op_call_r(cpu, state, reg1, reg2, imm, rip_next):
     cpu._push(state, rip_next)
-    state.regs.rip = state.regs.get(instr.reg1)
+    regs = state.regs
+    regs.rip = regs._regs[reg1]
 
 
 @_handler(Op.RET)
-def _op_ret(cpu, state, instr, addr, rip_next):
+def _op_ret(cpu, state, reg1, reg2, imm, rip_next):
     state.regs.rip = cpu._pop(state)
 
 
 @_handler(Op.PUSH_R)
-def _op_push_r(cpu, state, instr, addr, rip_next):
-    cpu._push(state, state.regs.get(instr.reg1))
+def _op_push_r(cpu, state, reg1, reg2, imm, rip_next):
+    cpu._push(state, state.regs._regs[reg1])    # before rsp moves
 
 
 @_handler(Op.POP_R)
-def _op_pop_r(cpu, state, instr, addr, rip_next):
-    state.regs.set(instr.reg1, cpu._pop(state))
+def _op_pop_r(cpu, state, reg1, reg2, imm, rip_next):
+    value = cpu._pop(state)
+    state.regs._regs[reg1] = value              # after rsp moves
 
 
 @_handler(Op.PUSH_I)
-def _op_push_i(cpu, state, instr, addr, rip_next):
-    cpu._push(state, instr.imm & _MASK64)
+def _op_push_i(cpu, state, reg1, reg2, imm, rip_next):
+    cpu._push(state, imm & _MASK64)
 
 
 @_handler(Op.WRPKRU)
-def _op_wrpkru(cpu, state, instr, addr, rip_next):
+def _op_wrpkru(cpu, state, reg1, reg2, imm, rip_next):
     # Hardware requires %ecx == %edx == 0 or it #GPs; keeping the
     # check makes accidental wrpkru gadgets harder, as on Skylake.
-    if state.regs.get("rcx") or state.regs.get("rdx"):
-        raise InvalidInstruction("wrpkru with non-zero rcx/rdx", addr)
-    state.pkru = state.regs.get("rax") & PKRU_MASK
+    regs = state.regs._regs
+    if regs["rcx"] or regs["rdx"]:
+        raise InvalidInstruction("wrpkru with non-zero rcx/rdx",
+                                 rip_next - INSTR_SIZE)
+    state.pkru = regs["rax"] & PKRU_MASK
 
 
 @_handler(Op.RDPKRU)
-def _op_rdpkru(cpu, state, instr, addr, rip_next):
-    state.regs.set("rax", state.pkru)
+def _op_rdpkru(cpu, state, reg1, reg2, imm, rip_next):
+    state.regs._regs["rax"] = state.pkru
 
 
 @_handler(Op.SYSCALL)
-def _op_syscall(cpu, state, instr, addr, rip_next):
+def _op_syscall(cpu, state, reg1, reg2, imm, rip_next):
     if cpu.syscall_handler is None:
-        raise MachineFault("SYSCALL with no kernel attached", addr)
+        raise MachineFault("SYSCALL with no kernel attached",
+                           rip_next - INSTR_SIZE)
     cpu.syscall_handler(state)
 
 
 @_handler(Op.HLCALL)
-def _op_hlcall(cpu, state, instr, addr, rip_next):
+def _op_hlcall(cpu, state, reg1, reg2, imm, rip_next):
     if cpu.hl_dispatch is None:
-        raise MachineFault("HLCALL with no dispatcher", addr)
-    cpu.hl_dispatch(state, instr.imm)
+        raise MachineFault("HLCALL with no dispatcher",
+                           rip_next - INSTR_SIZE)
+    cpu.hl_dispatch(state, imm)
+
+
+#: the opcodes whose handlers call into the host; the fast loop flushes
+#: its batched charge before them and re-checks precision after them
+_HOST_CALL_OPS = frozenset((int(Op.SYSCALL), int(Op.HLCALL)))
 
 
 class CPU:
@@ -412,14 +507,15 @@ class CPU:
         return entry[4]
 
     def _push(self, state: ExecState, value: int) -> None:
-        rsp = (state.regs.get("rsp") - WORD_SIZE) & _MASK64
-        state.regs.set("rsp", rsp)
+        regs = state.regs._regs
+        rsp = regs["rsp"] = (regs["rsp"] - WORD_SIZE) & _MASK64
         self.space.write_word(rsp, value, state.pkru)
 
     def _pop(self, state: ExecState) -> int:
-        rsp = state.regs.get("rsp")
+        regs = state.regs._regs
+        rsp = regs["rsp"]
         value = self.space.read_word(rsp, state.pkru)
-        state.regs.set("rsp", (rsp + WORD_SIZE) & _MASK64)
+        regs["rsp"] = (rsp + WORD_SIZE) & _MASK64
         return value
 
     # -- execution -----------------------------------------------------------
@@ -428,10 +524,10 @@ class CPU:
             max_steps: Optional[int] = None) -> str:
         """Run until ``rip`` equals ``until_rip``, ``HLT``, or ``max_steps``.
 
-        Returns the exit reason: ``"host-return"``, ``"hlt"``, or
-        ``"max-steps"``.  Machine faults propagate to the caller — the
-        simulated kernel (or the MVX monitor watching a variant) decides
-        what a fault means.
+        Returns the exit reason: ``"host-return"`` or ``"max-steps"``.
+        ``HLT`` raises :class:`CpuExit` with reason ``"hlt"``, and machine
+        faults propagate to the caller — the simulated kernel (or the MVX
+        monitor watching a variant) decides what a fault means.
         """
         steps = 0
         regs = state.regs
@@ -795,37 +891,30 @@ class CPU:
         self.precise_insns += 1
         rip_next = addr + INSTR_SIZE
         state.regs.rip = rip_next
-        handler = _DISPATCH[instr.op]
-        if handler is None:  # pragma: no cover - decode guarantees coverage
-            raise InvalidInstruction(f"unhandled opcode {instr.op}", addr)
-        handler(self, state, instr, addr, rip_next)
+        _DISPATCH[instr.op](self, state, instr.reg1, instr.reg2, instr.imm,
+                            rip_next)
 
     def _run_fast(self, state: ExecState, until_rip: int,
                   max_steps: Optional[int], steps: int) -> int:
-        """The fast interpreter: decoded-page cache, inlined hot opcodes,
-        batched virtual-time charging.
+        """The fast interpreter: the handler table behind a decoded-page
+        cache, with batched virtual-time charging.
 
         Executes until an exit condition (``until_rip``/``max_steps``) is
         hit, or until a host callback (``SYSCALL``/``HLCALL``) may have
         attached a precision consumer — either way it returns the updated
         step count and :meth:`run` re-evaluates.  Pending charges are
-        flushed at every block boundary and, via ``finally``, before any
-        fault propagates, so virtual-cycle totals and
+        flushed before every host callback and, via ``finally``, before
+        any fault propagates, so virtual-cycle totals and
         ``instructions_retired`` are bit-identical to the precise path at
         every observable point (host callbacks, faults, run exit).
         """
         space = self.space
         pages = space._pages
         regs = state.regs
-        regs_d = regs._regs
         counter = self.counter
         cost_ns = self.costs.instruction_ns
-        read_word = space.read_word
-        write_word = space.write_word
-        space_read = space.read
-        space_write = space.write
-        fetch_check = space.fetch_check
-        M = _MASK64
+        dispatch = _DISPATCH
+        host_call_ops = _HOST_CALL_OPS
         pending = 0
         cur_idx = -1
         cur_epoch = -1
@@ -843,7 +932,7 @@ class CPU:
                 if idx != cur_idx or space.mapping_epoch != cur_epoch:
                     cur_page = pages.get(idx)
                     if cur_page is None or not cur_page.prot & PROT_EXEC:
-                        fetch_check(rip)      # raises the ExecuteFault
+                        space.fetch_check(rip)    # raises the ExecuteFault
                     cur_idx = idx
                     cur_epoch = space.mapping_epoch
                 cache = cur_page.decode_cache
@@ -853,190 +942,24 @@ class CPU:
                 entry = cache.get(offset)
                 if entry is None:
                     entry = self._decode_cached(cur_page, offset, rip)
-                op, r1, r2, imm, instr = entry
+                op, reg1, reg2, imm, _ = entry
 
                 steps += 1
                 pending += 1
                 rip_next = rip + INSTR_SIZE
                 regs.rip = rip_next
-
-                # -- inlined hot opcodes (numeric opcode constants; see
-                #    Op in isa.py).  Semantics mirror the precise
-                #    handlers exactly, including operation order around
-                #    possible faults.
-                if op == 0x13:            # LOAD
-                    regs_d[r1] = read_word((regs_d[r2] + imm) & M,
-                                           state.pkru)
-                elif op == 0x14:          # STORE
-                    write_word((regs_d[r1] + imm) & M, regs_d[r2],
-                               state.pkru)
-                elif op == 0x10:          # MOV_RR
-                    regs_d[r1] = regs_d[r2]
-                elif op == 0x11:          # MOV_RI
-                    regs_d[r1] = imm & M
-                elif op == 0x21:          # ADD_RI
-                    regs_d[r1] = (regs_d[r1] + imm) & M
-                elif op == 0x20:          # ADD_RR
-                    regs_d[r1] = (regs_d[r1] + regs_d[r2]) & M
-                elif op == 0x31:          # CMP_RI
-                    left = regs_d[r1]
-                    diff = (left - imm) & M
-                    if diff == 0:
-                        flags = 1
-                    elif diff >> 63:
-                        flags = 2
-                    else:
-                        flags = 0
-                    if left < (imm & M):
-                        flags |= 4
-                    regs.flags = flags
-                elif op == 0x30:          # CMP_RR
-                    left = regs_d[r1]
-                    right = regs_d[r2]
-                    diff = (left - right) & M
-                    if diff == 0:
-                        flags = 1
-                    elif diff >> 63:
-                        flags = 2
-                    else:
-                        flags = 0
-                    if left < right:
-                        flags |= 4
-                    regs.flags = flags
-                elif op == 0x43:          # JE
-                    if regs.flags & 1:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x44:          # JNE
-                    if not regs.flags & 1:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x40:          # JMP
-                    regs.rip = (rip_next + imm) & M
-                elif op == 0x45:          # JL
-                    if regs.flags & 2:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x46:          # JGE
-                    if not regs.flags & 2:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x47:          # JB
-                    if regs.flags & 4:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x48:          # JAE
-                    if not regs.flags & 4:
-                        regs.rip = (rip_next + imm) & M
-                elif op == 0x50:          # CALL
-                    rsp = (regs_d["rsp"] - 8) & M
-                    regs_d["rsp"] = rsp
-                    write_word(rsp, rip_next, state.pkru)
-                    regs.rip = (rip_next + imm) & M
-                elif op == 0x51:          # CALL_R
-                    rsp = (regs_d["rsp"] - 8) & M
-                    regs_d["rsp"] = rsp
-                    write_word(rsp, rip_next, state.pkru)
-                    regs.rip = regs_d[r1]
-                elif op == 0x52:          # RET
-                    rsp = regs_d["rsp"]
-                    value = read_word(rsp, state.pkru)
-                    regs_d["rsp"] = (rsp + 8) & M
-                    regs.rip = value
-                elif op == 0x53:          # PUSH_R
-                    value = regs_d[r1]    # before the move, like _op_push_r
-                    rsp = (regs_d["rsp"] - 8) & M
-                    regs_d["rsp"] = rsp
-                    write_word(rsp, value, state.pkru)
-                elif op == 0x54:          # POP_R
-                    rsp = regs_d["rsp"]
-                    value = read_word(rsp, state.pkru)
-                    regs_d["rsp"] = (rsp + 8) & M
-                    regs_d[r1] = value
-                elif op == 0x55:          # PUSH_I
-                    rsp = (regs_d["rsp"] - 8) & M
-                    regs_d["rsp"] = rsp
-                    write_word(rsp, imm & M, state.pkru)
-                elif op == 0x12:          # LEA
-                    regs_d[r1] = (rip_next + imm) & M
-                elif op == 0x22:          # SUB_RR
-                    regs_d[r1] = (regs_d[r1] - regs_d[r2]) & M
-                elif op == 0x23:          # SUB_RI
-                    regs_d[r1] = (regs_d[r1] - imm) & M
-                elif op == 0x24:          # AND_RR
-                    regs_d[r1] = regs_d[r1] & regs_d[r2]
-                elif op == 0x25:          # AND_RI
-                    regs_d[r1] = (regs_d[r1] & imm) & M
-                elif op == 0x26:          # OR_RR
-                    regs_d[r1] = regs_d[r1] | regs_d[r2]
-                elif op == 0x27:          # OR_RI
-                    regs_d[r1] = (regs_d[r1] | imm) & M
-                elif op == 0x28:          # XOR_RR
-                    regs_d[r1] = regs_d[r1] ^ regs_d[r2]
-                elif op == 0x29:          # XOR_RI
-                    regs_d[r1] = (regs_d[r1] ^ imm) & M
-                elif op == 0x2A:          # SHL_RI
-                    regs_d[r1] = (regs_d[r1] << (imm & 63)) & M
-                elif op == 0x2B:          # SHR_RI
-                    regs_d[r1] = regs_d[r1] >> (imm & 63)
-                elif op == 0x2C:          # MUL_RR
-                    regs_d[r1] = (regs_d[r1] * regs_d[r2]) & M
-                elif op == 0x2D:          # NOT_R
-                    regs_d[r1] = ~regs_d[r1] & M
-                elif op == 0x32:          # TEST_RR
-                    masked = regs_d[r1] & regs_d[r2]
-                    if masked == 0:
-                        regs.flags = 1
-                    elif masked >> 63:
-                        regs.flags = 2
-                    else:
-                        regs.flags = 0
-                elif op == 0x15:          # LOAD8
-                    regs_d[r1] = space_read((regs_d[r2] + imm) & M, 1,
-                                            state.pkru)[0]
-                elif op == 0x16:          # STORE8
-                    space_write((regs_d[r1] + imm) & M,
-                                bytes([regs_d[r2] & 0xFF]), state.pkru)
-                elif op == 0x42:          # JMP_M
-                    slot = (rip_next + imm) & M
-                    regs.rip = read_word(slot, state.pkru)
-                elif op == 0x41:          # JMP_R
-                    regs.rip = regs_d[r1]
-                elif op == 0x01 or op == 0x71:   # NOP / BRK
-                    pass
-                elif op == 0x60:          # WRPKRU
-                    if regs_d["rcx"] or regs_d["rdx"]:
-                        raise InvalidInstruction(
-                            "wrpkru with non-zero rcx/rdx", rip)
-                    state.pkru = regs_d["rax"] & PKRU_MASK
-                elif op == 0x61:          # RDPKRU
-                    regs_d["rax"] = state.pkru
-                elif op == 0x02:          # HLT
-                    raise CpuExit("hlt")
-                elif op == 0x62:          # SYSCALL — block boundary
-                    if pending:
-                        counter.charge(pending * cost_ns, "cpu")
-                        self.instructions_retired += pending
-                        self.fast_insns += pending
-                        pending = 0
-                    if self.syscall_handler is None:
-                        raise MachineFault(
-                            "SYSCALL with no kernel attached", rip)
-                    self.syscall_handler(state)
-                    if (self.force_slow_path or self.trace_hook is not None
-                            or space._observers or counter.listeners):
-                        return steps
-                elif op == 0x70:          # HLCALL — block boundary
-                    if pending:
-                        counter.charge(pending * cost_ns, "cpu")
-                        self.instructions_retired += pending
-                        self.fast_insns += pending
-                        pending = 0
-                    if self.hl_dispatch is None:
-                        raise MachineFault(
-                            "HLCALL with no dispatcher", rip)
-                    self.hl_dispatch(state, imm)
-                    if (self.force_slow_path or self.trace_hook is not None
-                            or space._observers or counter.listeners):
-                        return steps
-                else:  # pragma: no cover - decode guarantees coverage
-                    raise InvalidInstruction(
-                        f"unhandled opcode {instr.op}", rip)
+                if op not in host_call_ops:
+                    dispatch[op](self, state, reg1, reg2, imm, rip_next)
+                    continue
+                # a block boundary: the host sees the virtual clock
+                counter.charge(pending * cost_ns, "cpu")
+                self.instructions_retired += pending
+                self.fast_insns += pending
+                pending = 0
+                dispatch[op](self, state, reg1, reg2, imm, rip_next)
+                if (self.force_slow_path or self.trace_hook is not None
+                        or space._observers or counter.listeners):
+                    return steps
         finally:
             if pending:
                 counter.charge(pending * cost_ns, "cpu")

@@ -65,23 +65,18 @@ class RegisterFile:
     # flag helpers -----------------------------------------------------------
 
     def set_compare_flags(self, left: int, right: int) -> None:
-        """Set ZF/SF/CF as a 64-bit ``cmp left, right`` would."""
+        """Set ZF/SF/CF as a 64-bit ``cmp left, right`` would; ``test a,
+        b`` sets them as ``cmp a & b, 0`` does.  The CPU's ``CMP_RR``,
+        ``CMP_RI`` and ``TEST_RR`` handlers all compute flags here."""
         diff = (left - right) & _MASK64
-        self.flags = 0
-        if diff == 0:
-            self.flags |= FLAG_ZF
-        if diff >> 63:
-            self.flags |= FLAG_SF
+        flags = FLAG_ZF if diff == 0 else FLAG_SF if diff >> 63 else 0
         if (left & _MASK64) < (right & _MASK64):
-            self.flags |= FLAG_CF
+            flags |= FLAG_CF
+        self.flags = flags
 
     @property
     def zf(self) -> bool:
         return bool(self.flags & FLAG_ZF)
-
-    @property
-    def sf(self) -> bool:
-        return bool(self.flags & FLAG_SF)
 
     @property
     def cf(self) -> bool:
