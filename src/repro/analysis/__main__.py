@@ -37,18 +37,8 @@ def _boot(app: str):
         from repro.apps.littled import LittledServer
         server = LittledServer(kernel)
         return server.process, server.loaded
-    from repro.apps.nbench.workloads import (
-        build_nbench_image,
-        provision_nbench_files,
-    )
-    from repro.core import build_smvx_stub_image
-    from repro.libc import build_libc_image
-    from repro.process import GuestProcess
-    provision_nbench_files(kernel.vfs)
-    process = GuestProcess(kernel, "nbench", heap_pages=128)
-    process.load_image(build_libc_image(), tag="libc")
-    process.load_image(build_smvx_stub_image(), tag="libsmvx")
-    loaded = process.load_image(build_nbench_image(), main=True)
+    from repro.apps.nbench import boot_nbench
+    process, loaded, _monitor = boot_nbench(kernel)
     return process, loaded
 
 

@@ -123,22 +123,10 @@ def run_nbench_differential(seed: str = "diff/nbench",
                             ) -> DifferentialResult:
     """Compute-only control: no network input, so the dynamic set — and
     the static selection — must both be empty."""
-    from repro.apps.nbench import (
-        build_nbench_image,
-        provision_nbench_files,
-    )
-    from repro.core import build_smvx_stub_image
+    from repro.apps.nbench import boot_nbench
     from repro.kernel import Kernel
-    from repro.libc import build_libc_image
-    from repro.process import GuestProcess
 
-    kernel = Kernel(seed=seed)
-    provision_nbench_files(kernel.vfs)
-    process = GuestProcess(kernel, "nbench", heap_pages=128)
-    process.load_image(build_libc_image(), tag="libc")
-    process.load_image(build_smvx_stub_image(), tag="libsmvx")
-    loaded = process.load_image(build_nbench_image(), main=True)
-    process.app_config = {"protect": None}
+    process, loaded, _monitor = boot_nbench(Kernel(seed=seed))
     engine = TaintEngine(process).attach()
     try:
         for index in workloads:
@@ -149,8 +137,7 @@ def run_nbench_differential(seed: str = "diff/nbench",
 
 
 def run_sim_slice(master_seed: str = "diff-swarm", count: int = 8,
-                  start: int = 0,
-                  requests_cap: int = 6) -> List[DifferentialResult]:
+                  start: int = 0) -> List[DifferentialResult]:
     """Replay a ``repro.sim`` matrix slice under the taint engine.
 
     The swarm's own scenario axes supply the variation — per-scenario
@@ -169,7 +156,7 @@ def run_sim_slice(master_seed: str = "diff-swarm", count: int = 8,
             continue
         if getattr(scenario, "mutation", "none") != "none":
             continue
-        requests = max(1, min(scenario.requests, requests_cap))
+        requests = max(1, min(scenario.requests, 6))
         schedule = scenario.schedule_obj()
         concurrency = max(1, min(scenario.concurrency, 4))
         if scenario.workload == "minx":

@@ -506,19 +506,10 @@ def _live_report(app: str, roots: Sequence[str]) -> VerifyReport:
         server = LittledServer(kernel, protect=roots[0], smvx=True)
         return verify_process(server.process, server.monitor, roots=roots)
     if app == "nbench":
-        from repro.apps.nbench.workloads import (
-            build_nbench_image,
-            provision_nbench_files,
-        )
-        from repro.core import AlarmLog, attach_smvx, build_smvx_stub_image
-        from repro.libc import build_libc_image
-        from repro.process import GuestProcess
-        provision_nbench_files(kernel.vfs)
-        process = GuestProcess(kernel, "nbench", heap_pages=128)
-        process.load_image(build_libc_image(), tag="libc")
-        process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        target = process.load_image(build_nbench_image(), main=True)
-        monitor = attach_smvx(process, target, alarm_log=AlarmLog())
+        from repro.apps.nbench import boot_nbench
+        from repro.core import AlarmLog
+        process, _target, monitor = boot_nbench(kernel, smvx=True,
+                                                alarm_log=AlarmLog())
         return verify_process(process, monitor, roots=roots)
     raise ValueError(f"unknown app {app!r}")
 

@@ -494,7 +494,7 @@ _FUNCTIONS = [
 ]
 
 
-def build_littled_image(bss_kb: int = 64) -> ProgramImage:
+def build_littled_image() -> ProgramImage:
     builder = ImageBuilder("littled")
     builder.import_libc(*_LIBC_IMPORTS)
     for name, fn, arity, size, calls in _FUNCTIONS:
@@ -510,7 +510,7 @@ def build_littled_image(bss_kb: int = 64) -> ProgramImage:
         "littled_accesslog_write",
     ])
     builder.add_bss("littled_globals", 256)
-    builder.add_bss("littled_static_arena", bss_kb * 1024)
+    builder.add_bss("littled_static_arena", 64 * 1024)
     return builder.build()
 
 
@@ -541,7 +541,7 @@ class LittledWorker:
         server.sched.bind_core(self.process.counter, core)
         self.process.load_image(build_libc_image(), tag="libc")
         self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_littled_image(bss_kb=config["bss_kb"])
+        self.image = build_littled_image()
         self.loaded = self.process.load_image(self.image, main=True)
         self.process.app_config = {"protect": config["protect"],
                                    "conn_cap": config.get("conn_cap", 0)}
@@ -629,7 +629,7 @@ class LittledServer:
 
     def __init__(self, kernel: Kernel, port: int = 8081,
                  protect: Optional[str] = None, smvx: bool = False,
-                 heap_pages: int = 192, bss_kb: int = 64,
+                 heap_pages: int = 192,
                  name: str = "littled", reuse_variants: bool = False,
                  variant_strategy: str = "shift",
                  strict_verify: bool = False,
@@ -650,7 +650,7 @@ class LittledServer:
         self.workers_n = max(0, workers)
         self._config = {
             "protect": protect, "smvx": smvx, "heap_pages": heap_pages,
-            "bss_kb": bss_kb, "reuse_variants": reuse_variants,
+            "reuse_variants": reuse_variants,
             "variant_strategy": variant_strategy,
             "strict_verify": strict_verify,
             "auto_scope": auto_scope,
@@ -686,7 +686,7 @@ class LittledServer:
         self.process = GuestProcess(kernel, name, heap_pages=heap_pages)
         self.process.load_image(build_libc_image(), tag="libc")
         self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_littled_image(bss_kb=bss_kb)
+        self.image = build_littled_image()
         self.loaded = self.process.load_image(self.image, main=True)
         self.process.app_config = {"protect": protect}
         self.monitor = None

@@ -690,11 +690,12 @@ _FUNCTIONS = [
 ]
 
 
-def build_minx_image(bss_kb: int = 110) -> ProgramImage:
+def build_minx_image() -> ProgramImage:
     """Build the minx worker image.
 
-    ``bss_kb`` sizes the global/static area — it determines the follower
-    variant's ``.data``/``.bss`` scan cost (paper Table 2 shape).
+    Its 110 KiB static arena sizes the global/static area — it determines
+    the follower variant's ``.data``/``.bss`` scan cost (paper Table 2
+    shape).
     """
     builder = ImageBuilder("minx")
     builder.import_libc(*_LIBC_IMPORTS)
@@ -745,7 +746,7 @@ def build_minx_image(bss_kb: int = 110) -> ProgramImage:
         "minx_http_log_access",
     ])
     builder.add_bss("minx_globals", 256)
-    builder.add_bss("minx_static_arena", bss_kb * 1024)
+    builder.add_bss("minx_static_arena", 110 * 1024)
     return builder.build()
 
 
@@ -758,7 +759,7 @@ class MinxServer:
 
     def __init__(self, kernel: Kernel, port: int = 8080,
                  protect: Optional[str] = None, smvx: bool = False,
-                 heap_pages: int = 256, bss_kb: int = 110,
+                 heap_pages: int = 256,
                  name: str = "minx", reuse_variants: bool = False,
                  variant_strategy: str = "shift",
                  strict_verify: bool = False,
@@ -774,7 +775,7 @@ class MinxServer:
         self.process = GuestProcess(kernel, name, heap_pages=heap_pages)
         self.process.load_image(build_libc_image(), tag="libc")
         self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_minx_image(bss_kb=bss_kb)
+        self.image = build_minx_image()
         self.loaded = self.process.load_image(self.image, main=True)
         self.process.app_config = {"protect": protect}
         self.alarms = AlarmLog()

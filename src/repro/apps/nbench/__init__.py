@@ -15,13 +15,14 @@ from repro.apps.nbench.workloads import (
     build_nbench_image,
     provision_nbench_files,
 )
-from repro.apps.nbench.harness import NbenchHarness, NbenchResult
+from repro.apps.nbench.harness import NbenchHarness, NbenchResult, boot_nbench
 
 __all__ = [
     "NBENCH_WORKLOADS",
     "NbenchHarness",
     "NbenchResult",
     "WorkloadSpec",
+    "boot_nbench",
     "build_nbench_image",
     "provision_nbench_files",
 ]

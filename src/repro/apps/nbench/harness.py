@@ -7,19 +7,45 @@ configuration, and mean execution (virtual wall) times are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.apps.nbench.workloads import (
     NBENCH_WORKLOADS,
     build_nbench_image,
     provision_nbench_files,
 )
-from repro.core import AlarmLog, attach_smvx, build_smvx_stub_image
+from repro.core import (
+    AlarmLog,
+    SmvxMonitor,
+    attach_smvx,
+    build_smvx_stub_image,
+)
 from repro.kernel import Kernel
 from repro.libc import build_libc_image
+from repro.loader.loader import LoadedImage
+from repro.machine.costs import DEFAULT_COSTS, CostModel
 from repro.process import GuestProcess
 from repro.process.context import to_signed
+
+
+def boot_nbench(kernel: Kernel, protect: Optional[str] = None,
+                smvx: bool = False, costs: CostModel = DEFAULT_COSTS,
+                **smvx_kwargs
+                ) -> Tuple[GuestProcess, LoadedImage, Optional[SmvxMonitor]]:
+    """Boot nbench on ``kernel``: provision its files, load libc, libsmvx
+    and the nbench image into a 128-page-heap process, set the app
+    config to protect ``protect``, and attach the sMVX monitor (given
+    ``smvx_kwargs``) when ``smvx``.  Returns the process, the nbench
+    image and the monitor (None without ``smvx``)."""
+    provision_nbench_files(kernel.vfs)
+    process = GuestProcess(kernel, "nbench", heap_pages=128, costs=costs)
+    process.load_image(build_libc_image(), tag="libc")
+    process.load_image(build_smvx_stub_image(), tag="libsmvx")
+    target = process.load_image(build_nbench_image(), main=True)
+    process.app_config = {"protect": protect}
+    monitor = attach_smvx(process, target, **smvx_kwargs) if smvx else None
+    return process, target, monitor
 
 
 @dataclass
@@ -45,7 +71,7 @@ class NbenchResult:
 class NbenchHarness:
     """Runs the suite in both configurations on fresh machines."""
 
-    def __init__(self, runs: int = 3, costs=None,
+    def __init__(self, runs: int = 3, costs: CostModel = DEFAULT_COSTS,
                  variant_strategy: str = "shift", fault_schedule=None):
         self.runs = runs
         self.costs = costs
@@ -56,23 +82,14 @@ class NbenchHarness:
 
     def _run_once(self, index: int, smvx: bool) -> "tuple[float, int]":
         kernel = Kernel()
-        provision_nbench_files(kernel.vfs)
         if self.fault_schedule is not None:
             kernel.faults.install(self.fault_schedule)
-        if self.costs is not None:
-            process = GuestProcess(kernel, "nbench", heap_pages=128,
-                                   costs=self.costs)
-        else:
-            process = GuestProcess(kernel, "nbench", heap_pages=128)
-        process.load_image(build_libc_image(), tag="libc")
-        process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        target = process.load_image(build_nbench_image(), main=True)
         spec = NBENCH_WORKLOADS[index]
-        process.app_config = {"protect": spec.func if smvx else None}
         alarms = AlarmLog()
-        if smvx:
-            attach_smvx(process, target, alarm_log=alarms,
-                        variant_strategy=self.variant_strategy)
+        process, _target, _monitor = boot_nbench(
+            kernel, protect=spec.func if smvx else None, smvx=smvx,
+            costs=self.costs, alarm_log=alarms,
+            variant_strategy=self.variant_strategy)
         before = process.counter.total_ns
         checksum = to_signed(process.call_function("nb_main", index))
         elapsed = process.counter.total_ns - before

@@ -440,8 +440,7 @@ class DistributedSmvx:
     channel per worker process, all multiplexed over one link pair."""
 
     def __init__(self, cluster: Cluster, leader_server, mirror_server,
-                 sensitive: Optional[Sequence[str]] = None,
-                 ring_capacity: int = 0):
+                 sensitive: Optional[Sequence[str]] = None):
         self.cluster = cluster
         self.leader_server = leader_server
         self.mirror_server = mirror_server
@@ -466,7 +465,7 @@ class DistributedSmvx:
                     "leader server must be built with smvx=False")
             monitor = DistributedLeaderMonitor(
                 leader_unit.process, host0,
-                WireEndpoint(host0, self.link_out, chan, ring_capacity),
+                WireEndpoint(host0, self.link_out, chan),
                 self.verdicts, chan=chan, sensitive=sensitive,
                 alarm_log=leader_server.alarms)
             monitor.setup(leader_unit.loaded)
@@ -475,7 +474,7 @@ class DistributedSmvx:
             self.monitors.append(monitor)
             self.runners[chan] = RemoteRegionRunner(
                 mirror_unit.process, mirror_unit.monitor, host1,
-                WireEndpoint(host1, self.link_back, chan, ring_capacity),
+                WireEndpoint(host1, self.link_back, chan),
                 chan)
         leader_server.monitor = self.monitors[0]
         self.link_out.on_frame = self._deliver_to_mirror

@@ -16,27 +16,27 @@ leader-internal offsets — a ROP gadget, a mid-function jump — executes
 different instructions in the follower and desynchronizes the lockstep.
 
 mvx_start() under this strategy costs: clone + page sharing + a private
-copy of the writable sections and heap.  The Table 2 scan costs vanish.
+copy of the image and heap.  The Table 2 scan costs vanish.  The steps
+every follower takes are ``repro.core.variant``'s; this module supplies
+the layout (same addresses, private view) and the diversification.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.relocate import RelocationReport
-from repro.core.variant import FollowerVariant, VariantReport
+from repro.core.variant import (
+    FollowerVariant,
+    VariantReport,
+    map_copy,
+    spawn_follower,
+)
 from repro.errors import InvalidInstruction
 from repro.loader.loader import LoadedImage
-from repro.machine.costs import CostModel, CycleCounter
-from repro.machine.cpu import CPU
+from repro.machine.costs import CostModel
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
-from repro.machine.memory import (
-    AddressSpace,
-    PAGE_SIZE,
-    PROT_RW,
-    page_align_up,
-)
-from repro.process.heap import Heap
+from repro.machine.memory import AddressSpace, PAGE_SIZE, page_align_up
 from repro.process.process import GuestProcess
 
 #: ops whose immediate is a displacement relative to the next instruction
@@ -45,6 +45,9 @@ _RIP_RELATIVE_OPS = frozenset({
     Op.JAE, Op.CALL,
 })
 
+
+#: the seed every aligned follower's function interiors are shuffled with
+DIVERSITY_SEED = 0xD1CE
 
 #: an intentionally invalid instruction slot: anything that lands here —
 #: a stale gadget address, a fallthrough between resynced gadgets —
@@ -137,100 +140,46 @@ def diversify_text(target: LoadedImage, space: AddressSpace,
 
 def create_aligned_follower(process: GuestProcess, target: LoadedImage,
                             root_function: str, args: Sequence[int],
-                            costs: CostModel, seed: int = 0xD1CE,
-                            stack_pages: int = 16
+                            costs: CostModel
                             ) -> Tuple[FollowerVariant, List[int]]:
     """Build a follower at the *same* addresses with diversified text.
 
-    No pointer scan, no relocation: writable sections and the heap are
-    private copies at identical numeric addresses.
+    No pointer scan, no relocation: the image and the heap are private
+    copies at identical numeric addresses, in the follower's own view.
     """
     report = VariantReport(shift=0)
-    heap = process.heap
-
-    follower_space = AddressSpace(f"{process.name}:aligned-follower")
-    image_size = page_align_up(target.image.load_size)
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + image_size),
-        (heap.base, heap.base + heap.size),
-    ])
+    view = AddressSpace(f"{process.name}:aligned-follower")
 
     # ---- private image copy at the same base, text diversified ----
-    copied = 0
-    for page_base in range(target.base, target.base + image_size,
-                           PAGE_SIZE):
-        src_page = process.space.page_at(page_base)
-        if src_page is None:
-            continue
-        follower_space.mmap(page_base, PAGE_SIZE, prot=src_page.prot,
-                            pkey=src_page.pkey,
-                            tag=f"aligned:{src_page.tag}")
-        dst_page = follower_space.page_at(page_base)
-        dst_page.data[:] = src_page.data
-        dst_page.invalidate_decode()
-        copied += 1
-    text_start, text_size = target.section_range(".text")
-    new_text, moved = diversify_text(target, process.space, seed)
-    follower_space.write(text_start, new_text, privileged=True)
-    report.text_pages_copied = page_align_up(max(text_size, 1)) // PAGE_SIZE
-    report.support_pages_copied = copied - report.text_pages_copied
+    for section, _offset, _size in target.image.section_layout():
+        start, size = target.section_range(section)
+        copied = map_copy(process, view, start, size, 0,
+                          f"aligned:{target.tag}:{section}")
+        if section == ".text":
+            report.text_pages_copied = copied
+        else:
+            report.support_pages_copied += copied
+    new_text, moved = diversify_text(target, process.space, DIVERSITY_SEED)
+    view.write(target.section_range(".text")[0], new_text, privileged=True)
 
     # ---- private heap at the same base ----
+    heap = process.heap
     heap_used = heap.used_range()[1] - heap.base
-    follower_space.mmap(heap.base, heap.size, prot=PROT_RW,
-                        tag="aligned:heap")
-    for offset in range(0, page_align_up(max(heap_used, 1)), PAGE_SIZE):
-        src_page = process.space.page_at(heap.base + offset)
-        dst_page = follower_space.page_at(heap.base + offset)
-        dst_page.data[:] = src_page.data
-        dst_page.invalidate_decode()
-        report.heap_pages_copied += 1
+    report.heap_pages_copied = map_copy(
+        process, view, heap.base, heap.size, 0, "aligned:heap",
+        pages=range(heap.base, heap.base + page_align_up(max(heap_used, 1)),
+                    PAGE_SIZE))
 
-    report.duplication_ns = (
-        (report.text_pages_copied + report.support_pages_copied)
-        * costs.page_copy_ns
-        + report.heap_pages_copied * costs.heap_remap_page_ns)
-    process.charge(report.duplication_ns, "variant-copy")
-
-    # ---- clone() the follower thread ----
-    before = process.counter.total_ns
-    process.kernel.syscall(process, "clone", 0)
-    thread = process.create_thread(f"aligned-follower:{root_function}",
-                                   stack_pages=stack_pages)
-    thread.variant = "follower"
-    report.clone_ns = process.counter.total_ns - before
-    thread.space = follower_space
-    thread.counter = CycleCounter()
-    thread.cpu = CPU(follower_space, counter=thread.counter, costs=costs,
-                     syscall_handler=process._syscall_from_isa,
-                     hl_dispatch=process._hl_dispatch)
-    thread.cpu.trace_hook = process.cpu.trace_hook
-    # the follower's fresh stack must exist in its own view
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + image_size),
-        (heap.base, heap.base + heap.size),
-    ])
-
-    # follower allocator over its private heap pages (same addresses)
-    follower_heap = Heap(follower_space, heap.base, heap.size)
-    follower_heap.adopt_bookkeeping(heap.clone_bookkeeping(0))
-    process.thread_heaps[thread] = follower_heap
-
+    thread, follower_heap, relocator = spawn_follower(
+        process, target, costs, report, f"aligned-follower:{root_function}",
+        view)
     # no pointers to fix: shift == 0 by construction
     report.relocation = RelocationReport(0)
     report.protected_functions = {name for name, count in moved.items()
                                   if count > 0}
 
-    variant = FollowerVariant(
-        loaded=target,                  # same addresses: the leader's view
-        thread=thread,
-        heap=follower_heap,
-        entry=target.symbol_address(root_function),
-        report=report,
-        image_region=(0, 0),            # nothing mapped in the leader view
-        heap_region=(0, 0),
-        owns_loaded_view=False,
-    )
-    # destroy() must not unmap leader memory: mark private regions empty
-    # (the follower space is dropped with the thread object).
-    return variant, [int(a) for a in args]
+    # same addresses: the follower runs the leader's own image view
+    variant = FollowerVariant(target, thread, follower_heap,
+                              target.symbol_address(root_function),
+                              report, relocator)
+    return variant, [relocator.relocate_value(int(a)) for a in args]

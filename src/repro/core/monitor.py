@@ -41,7 +41,6 @@ from repro.core.ipc import (
     LockstepTimeout,
 )
 from repro.core.aligned import create_aligned_follower
-from repro.core.relocate import OldRange, PointerRelocator
 from repro.core.reuse import CachedVariant, park_variant, refresh_variant
 from repro.core.trampoline import (
     allocate_monitor_memory,
@@ -101,7 +100,6 @@ class ActiveRegion:
     leader: GuestThread
     variant: FollowerVariant
     channel: LockstepChannel
-    relocator: PointerRelocator
     py_thread: threading.Thread
     leader_seq: int = 0
     follower_seq: int = 0
@@ -336,15 +334,6 @@ class SmvxMonitor:
         self.last_variant_report = variant.report
         variant.thread.state.pkru = self.memory.pkru_closed
         channel = LockstepChannel()
-        relocator = PointerRelocator(
-            self.process.space,
-            [OldRange(self.target.base,
-                      self.target.base + self.target.image.load_size,
-                      "image"),
-             OldRange(self.process.heap.base,
-                      self.process.heap.base + self.process.heap.size,
-                      "heap")],
-            variant.report.shift, self.costs)
         leader.variant = LEADER
 
         py_thread = threading.Thread(
@@ -353,7 +342,7 @@ class SmvxMonitor:
             name=f"smvx-follower-{root_function}",
             daemon=True)
         self.region = ActiveRegion(root_function, leader, variant, channel,
-                                   relocator, py_thread)
+                                   py_thread)
         channel.threads[FOLLOWER] = py_thread
         py_thread.start()
 
@@ -665,7 +654,8 @@ class SmvxMonitor:
                     retval = follower.args[index]
                     break
             if retval is None:
-                retval = self.region.relocator.relocate_value(event.retval)
+                retval = self.region.variant.relocator.relocate_value(
+                    event.retval)
         channel.leader_publish(LibcResult(event.seq, retval & _MASK64,
                                           event.errno))
 
@@ -687,7 +677,7 @@ class SmvxMonitor:
         """epoll_data is a union; when a value looks like a pointer into
         the leader's ranges, hand the follower its shifted equivalent."""
         space = self.region.variant.thread.space
-        relocator = self.region.relocator
+        relocator = self.region.variant.relocator
         for index in range(count):
             slot = follower_events + 16 * index + 8
             value = space.read_word(slot, privileged=True)

@@ -21,11 +21,16 @@ agreement.  (A leader that maps *new* regions mid-run defeats the cache;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Tuple
 
-from repro.core.relocate import OldRange, PointerRelocator
-from repro.core.variant import FollowerVariant
+from repro.core.variant import (
+    SUPPORT_SECTIONS,
+    FollowerVariant,
+    copy_pages,
+    leader_ranges,
+    sync_heap,
+)
 from repro.machine.costs import CostModel
 from repro.machine.memory import PAGE_SIZE, page_align_down, page_align_up
 from repro.process.process import GuestProcess
@@ -83,20 +88,11 @@ class RefreshStats:
     time_ns: float = 0.0
 
 
-def watch_ranges(process: GuestProcess, variant: FollowerVariant,
-                 target) -> List[Tuple[int, int]]:
-    heap = process.heap
-    return [
-        (target.base, target.base + page_align_up(target.image.load_size)),
-        (heap.base, heap.base + heap.size),
-    ]
-
-
 def park_variant(process: GuestProcess, variant: FollowerVariant,
                  target) -> CachedVariant:
     """Keep the follower alive after mvx_end and start dirty tracking."""
     tracker = DirtyTracker(process.space,
-                           watch_ranges(process, variant, target)).attach()
+                           leader_ranges(process, target)).attach()
     return CachedVariant(variant=variant, tracker=tracker,
                          heap_brk=process.heap.used_range()[1])
 
@@ -108,39 +104,25 @@ def refresh_variant(process: GuestProcess, cached: CachedVariant,
     """Bring a parked follower back in sync by touching only dirty pages."""
     cached.tracker.detach()
     variant = cached.variant
-    shift = variant.report.shift
+    relocator = variant.relocator
+    shift = relocator.shift
+    space = process.space
     heap = process.heap
     stats = RefreshStats()
 
     # pages dirtied since parking, plus any heap growth
     dirty = set(cached.tracker.dirty_pages)
-    new_brk = heap.used_range()[1]
-    for page in range(page_align_down(cached.heap_brk),
-                      page_align_up(new_brk), PAGE_SIZE):
-        dirty.add(page)
+    dirty.update(range(page_align_down(cached.heap_brk),
+                       page_align_up(heap.used_range()[1]), PAGE_SIZE))
     stats.dirty_pages = len(dirty)
+    pages = [page for page in sorted(dirty)
+             if space.is_mapped(page) and space.is_mapped(page + shift)]
+    copy_pages(process, space, pages, shift)
 
-    text_start, text_size = target.section_range(".text")
-    data_ranges = [target.section_range(s)
-                   for s in (".plt", ".rodata", ".got.plt", ".data",
-                             ".bss")]
-    relocator = PointerRelocator(
-        process.space,
-        [OldRange(target.base,
-                  target.base + target.image.load_size, "image"),
-         OldRange(heap.base, heap.base + heap.size, "heap")],
-        shift, costs, charge=process.charge)
-
-    copied_ns = 0.0
-    for page in sorted(dirty):
-        src = process.space.page_at(page)
-        dst = process.space.page_at(page + shift)
-        if src is None or dst is None:
-            continue
-        dst.data[:] = src.data
-        dst.invalidate_decode()
-        copied_ns += costs.page_copy_ns
-        # rescan the refreshed copy page for pointers
+    # rescan the refreshed copy pages for pointers; text is immutable, so
+    # its copy was enough
+    data_ranges = [target.section_range(s) for s in SUPPORT_SECTIONS]
+    for page in pages:
         if heap.base <= page < heap.base + heap.size:
             scan = relocator.scan_heap_region(page + shift, PAGE_SIZE,
                                               region="heap-dirty")
@@ -150,20 +132,17 @@ def refresh_variant(process: GuestProcess, cached: CachedVariant,
             scan = relocator.scan_data_region(page + shift, PAGE_SIZE,
                                               "data-dirty")
             stats.data_pages_rescanned += 1
-        elif text_start <= page < text_start + page_align_up(text_size):
-            continue                    # text is immutable; copy was enough
         else:
             continue
         stats.pointers_fixed += scan.pointers_found
-    process.charge(copied_ns, "variant-refresh-copy")
-    stats.time_ns = copied_ns
+    stats.time_ns = len(pages) * float(costs.page_copy_ns)
+    process.charge(stats.time_ns, "variant-refresh-copy")
 
     # re-sync the follower allocator to the leader's current heap state
-    variant.heap.adopt_bookkeeping(heap.clone_bookkeeping(shift))
-    process.thread_heaps[variant.thread] = variant.heap
+    sync_heap(process, variant.thread, variant.heap, shift)
     variant.thread.reset_stack_pointer()
     variant.thread.errno = 0
 
-    relocated_args = [relocator.relocate_value(int(a)) for a in args]
     cached.refresh_count += 1
-    return variant, relocated_args, stats
+    return (variant, [relocator.relocate_value(int(a)) for a in args],
+            stats)

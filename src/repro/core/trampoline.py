@@ -55,6 +55,8 @@ from repro.machine.mpk import PKRU_ALLOW_ALL, pkru_disable_access
 GATE_FRAME_WORDS = 6
 
 SAFE_STACK_BYTES = 2 * PAGE_SIZE
+#: threads with a safe stack of their own (more share them round robin)
+SAFE_STACK_SLOTS = 4
 
 
 def randomized_monitor_base(seed: str) -> int:
@@ -140,12 +142,12 @@ class MonitorMemory:
         return base + SAFE_STACK_BYTES - 16
 
 
-def allocate_monitor_memory(space, pkey: int, max_threads: int = 4) -> MonitorMemory:
+def allocate_monitor_memory(space, pkey: int) -> MonitorMemory:
     """Map the safe stacks and the IPC ring under the monitor pkey."""
     pkru_closed = pkru_disable_access(PKRU_ALLOW_ALL, pkey)
     memory = MonitorMemory(pkey=pkey, pkru_open=PKRU_ALLOW_ALL,
                            pkru_closed=pkru_closed)
-    size = page_align_up(max_threads * SAFE_STACK_BYTES)
+    size = page_align_up(SAFE_STACK_SLOTS * SAFE_STACK_BYTES)
     memory.safe_stack_area = space.mmap(None, size, prot=PROT_RW,
                                         pkey=pkey, tag="smvx:safe-stacks")
     memory.safe_stack_size = size

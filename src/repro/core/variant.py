@@ -1,25 +1,39 @@
 """Follower-variant creation: shift-and-clone (paper §3.4, Figure 5).
 
-On ``mvx_start()`` the monitor:
+Every follower is built by the same steps, whatever its strategy:
 
-1. computes the protected function set — the call-graph subtree of the
-   root function the user annotated;
-2. picks a ``shift`` so the follower's copies of the image region and the
-   heap land in *unmapped* space (non-overlapping address spaces are the
-   diversification);
-3. copies, page by page: the ``.text`` pages covering the protected
-   functions, the support sections (``.plt``, ``.rodata``, ``.got.plt``,
-   ``.data``), ``.bss``, and the used heap prefix — charging the
-   copy+move cost of Table 2;
-4. issues a ``clone()`` (thread with shared VM) for the follower and gives
-   it a fresh stack and TLS;
-5. runs the pointer relocator over the follower's ``.data``/``.bss``/heap
-   and over the protected function's arguments.
+1. :func:`leader_ranges` names the leader's image region and heap arena.
+   They are absent from the follower's view, watched for writes while a
+   reusable follower is parked, and the old ranges its relocator moves
+   pointers out of (and a shift moves into unmapped space);
+2. :func:`map_copy` maps each copy, then copies leader pages into it
+   (:func:`copy_pages`, which a parked follower's refresh also uses);
+3. :func:`spawn_follower` charges the copies, issues a ``clone()``
+   (thread with shared VM), and gives the thread its view (shared once,
+   after its fresh stack exists), its own core, CPU and ``trace_hook``,
+   an allocator over the heap copy, and a :class:`PointerRelocator` over
+   the leader ranges, which the :class:`FollowerVariant` carries.
+
+The strategies differ only in layout, relocation and diversification.
+The shift strategy built here (the paper's prototype):
+
+* picks a ``shift`` so the follower's copies of the image region and the
+  heap land in *unmapped* space (non-overlapping address spaces are the
+  diversification);
+* copies, page by page: the ``.text`` pages covering the protected
+  functions (the call-graph subtree of the root function the user
+  annotated), the support sections (``.plt``, ``.rodata``, ``.got.plt``,
+  ``.data``), ``.bss``, and the used heap prefix — charging the copy+move
+  cost of Table 2;
+* runs the pointer relocator over the follower's ``.data``/``.bss``/heap
+  and over the protected function's arguments.
 
 Unprotected functions' text is deliberately *not* copied: a follower that
 strays outside the protected subtree — or a ROP chain aimed at leader
 addresses — hits unmapped memory and faults, which is the detection
-signal.
+signal.  ``repro.core.aligned`` builds the §5 alternative (same addresses,
+diversified text, nothing relocated) and ``repro.core.reuse`` refreshes a
+parked follower.
 """
 
 from __future__ import annotations
@@ -30,12 +44,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.analysis.callgraph import build_callgraph
 from repro.errors import MvxSetupError
 from repro.loader.loader import LoadedImage
-from repro.machine.costs import CostModel
+from repro.machine.costs import CostModel, CycleCounter
 from repro.machine.cpu import CPU
 from repro.machine.memory import (
     AddressSpace,
     PAGE_SIZE,
-    PROT_RW,
     page_align_down,
     page_align_up,
 )
@@ -51,6 +64,9 @@ from repro.core.relocate import (
 #: for the regions our processes use.
 _CANDIDATE_SHIFTS = (0x0000_0040_0000_0000, 0x0000_0020_0000_0000,
                      0x0000_0010_0000_0000, 0x0000_0008_0000_0000)
+
+#: the sections a shifted follower copies in full
+SUPPORT_SECTIONS = (".plt", ".rodata", ".got.plt", ".data", ".bss")
 
 
 @dataclass
@@ -74,186 +90,205 @@ class VariantReport:
 
 @dataclass
 class FollowerVariant:
-    """A live follower: its image view, heap, thread, and entry point."""
+    """A live follower: its image view, heap, thread, and entry point.
+
+    Where its copies live follows from its layout: a shifted follower's
+    are mapped in the process space, where its view shares them, and its
+    ``loaded`` is a view of its own; an aligned follower's (shift 0) are
+    private pages of its view, and ``loaded`` is the leader's."""
 
     loaded: LoadedImage
     thread: GuestThread
     heap: Heap
     entry: int
     report: VariantReport
-    image_region: Tuple[int, int]        # (start, size) of the copy
-    heap_region: Tuple[int, int]
-    #: False when `loaded` is the leader's own view (aligned strategy):
-    #: destroy() must not unregister it.
-    owns_loaded_view: bool = True
+    #: moves leader pointers into this follower's layout: its scans at
+    #: creation and refresh, its arguments, and pointer results and
+    #: epoll data the monitor hands it
+    relocator: PointerRelocator
 
     def destroy(self, process: GuestProcess) -> None:
         """Unmap the follower's private memory (region teardown at
-        mvx_end; the thread object is simply dropped)."""
-        start, size = self.image_region
-        if size:
-            process.space.munmap(start, size)
-        start, size = self.heap_region
-        if size:
-            process.space.munmap(start, size)
+        mvx_end; the thread object and its view are simply dropped)."""
+        shift = self.relocator.shift
+        if shift:
+            for old in self.relocator.old_ranges:
+                process.space.munmap(old.start + shift, old.end - old.start)
+            process.loader.unregister(self.loaded)
         process.space.munmap(self.thread.stack_base, self.thread.stack_size)
         process.thread_heaps.pop(self.thread, None)
-        if self.owns_loaded_view:
-            process.loader.unregister(self.loaded)
         if self.thread.counter is not process.counter:
             process._retired_follower_ns += self.thread.counter.total_ns
         if self.thread in process.threads:
             process.threads.remove(self.thread)
 
 
-def _region_is_free(process: GuestProcess, start: int, size: int) -> bool:
-    for addr in range(page_align_down(start),
-                      page_align_up(start + size), PAGE_SIZE):
+def leader_ranges(process: GuestProcess,
+                  target: LoadedImage) -> List[Tuple[int, int]]:
+    """``(start, end)`` of the leader's image region, then of its heap
+    arena: what no follower view holds, what a parked follower watches,
+    what a shift must move into unmapped space, and what a relocator
+    moves pointers out of."""
+    heap = process.heap
+    return [(target.base, target.end), (heap.base, heap.base + heap.size)]
+
+
+def copy_pages(process: GuestProcess, space: AddressSpace,
+               pages: Sequence[int], shift: int) -> int:
+    """Copy each leader page in ``pages`` onto the page ``shift`` bytes
+    away in ``space``; returns the number copied."""
+    leader = process.space
+    for addr in pages:
+        dst = space.page_at(addr + shift)
+        dst.data[:] = leader.page_at(addr).data
+        dst.invalidate_decode()
+    return len(pages)
+
+
+def map_copy(process: GuestProcess, space: AddressSpace, start: int,
+             size: int, shift: int, tag: str,
+             pages: Optional[Sequence[int]] = None) -> int:
+    """Map the leader's ``[start, start+size)`` (whole pages, at least
+    one) ``shift`` bytes away in ``space``, with the protection and key
+    of the leader's first page, then copy ``pages`` into it: every page
+    of the range unless told which.  Returns the pages copied."""
+    first = process.space.page_at(start)
+    size = page_align_up(max(size, 1))
+    space.mmap(start + shift, size, prot=first.prot, pkey=first.pkey,
+               tag=tag)
+    if pages is None:
+        pages = range(start, start + size, PAGE_SIZE)
+    return copy_pages(process, space, pages, shift)
+
+
+def sync_heap(process: GuestProcess, thread: GuestThread, heap: Heap,
+              shift: int) -> None:
+    """Make ``heap`` the allocator of ``thread``, in the leader heap's
+    current state moved ``shift`` bytes."""
+    heap.adopt_bookkeeping(process.heap.clone_bookkeeping(shift))
+    process.thread_heaps[thread] = heap
+
+
+def spawn_follower(process: GuestProcess, target: LoadedImage,
+                   costs: CostModel, report: VariantReport, name: str,
+                   view: AddressSpace
+                   ) -> Tuple[GuestThread, Heap, PointerRelocator]:
+    """The steps every follower takes once its pages are copied,
+    ``report.shift`` bytes from the leader's: charge the copies, clone()
+    the thread, and give it ``view``, its own core and CPU, an allocator
+    over the heap copy and a relocator."""
+    report.duplication_ns = (
+        (report.text_pages_copied + report.support_pages_copied)
+        * costs.page_copy_ns
+        + report.heap_pages_copied * costs.heap_remap_page_ns)
+    process.charge(report.duplication_ns, "variant-copy")
+
+    before = process.counter.total_ns
+    process.kernel.syscall(process, "clone", 0)
+    thread = process.create_thread(name)
+    thread.variant = "follower"
+    report.clone_ns = process.counter.total_ns - before
+
+    # The follower's address-space view (paper §3.1/Figure 5): shared
+    # pages for everything, its fresh stack included, except the leader's
+    # image region and heap.  Those are absent, so a pointer or ROP gadget
+    # aimed at leader addresses faults in the follower.  Copies mapped in
+    # the process space are shared pages visible through both views (the
+    # variants live in one process; the monitor writes emulated buffers
+    # through either).
+    ranges = leader_ranges(process, target)
+    process.space.share_into(view, exclude=ranges)
+    thread.space = view
+    # The follower computes on its own core: a private counter, not
+    # attached to the wall clock.  Wall time only advances through the
+    # leader and the lockstep waits the monitor charges.
+    thread.counter = CycleCounter()
+    thread.cpu = CPU(view, counter=thread.counter, costs=costs,
+                     syscall_handler=process._syscall_from_isa,
+                     hl_dispatch=process._hl_dispatch)
+    thread.cpu.trace_hook = process.cpu.trace_hook
+
+    heap = process.heap
+    follower_heap = Heap(process.space if report.shift else view,
+                         heap.base + report.shift, heap.size)
+    sync_heap(process, thread, follower_heap, report.shift)
+    relocator = PointerRelocator(
+        process.space,
+        [OldRange(start, end, label)
+         for (start, end), label in zip(ranges, ("image", "heap"))],
+        report.shift, costs, charge=process.charge)
+    return thread, follower_heap, relocator
+
+
+def _region_is_free(process: GuestProcess, start: int, end: int) -> bool:
+    for addr in range(page_align_down(start), page_align_up(end),
+                      PAGE_SIZE):
         if process.space.is_mapped(addr):
             return False
     return True
 
 
 def choose_shift(process: GuestProcess, target: LoadedImage) -> int:
-    heap = process.heap
-    image_size = page_align_up(target.image.load_size)
+    """The first candidate shift that moves every leader range into
+    unmapped space."""
+    ranges = leader_ranges(process, target)
     for shift in _CANDIDATE_SHIFTS:
-        if (_region_is_free(process, target.base + shift, image_size)
-                and _region_is_free(process, heap.base + shift, heap.size)):
+        if all(_region_is_free(process, start + shift, end + shift)
+               for start, end in ranges):
             return shift
     raise MvxSetupError("no non-overlapping shift available")
-
-
-def _copy_pages(process: GuestProcess, src: int, dst: int, size: int,
-                prot: int, pkey: int, tag: str) -> int:
-    """Map ``dst`` and copy ``size`` (page-rounded) bytes; returns pages."""
-    size = page_align_up(max(size, 1))
-    process.space.mmap(dst, size, prot=prot, pkey=pkey, tag=tag)
-    for offset in range(0, size, PAGE_SIZE):
-        src_page = process.space.page_at(src + offset)
-        dst_page = process.space.page_at(dst + offset)
-        dst_page.data[:] = src_page.data
-        dst_page.invalidate_decode()
-    return size // PAGE_SIZE
 
 
 def create_follower(process: GuestProcess, target: LoadedImage,
                     root_function: str, args: Sequence[int],
                     costs: CostModel,
-                    alias_info=None,
-                    stack_pages: int = 16) -> Tuple[FollowerVariant, List[int]]:
+                    alias_info=None) -> Tuple[FollowerVariant, List[int]]:
     """Build the follower variant; returns it plus the relocated args."""
-    report = VariantReport(shift=0)
-    graph = build_callgraph(target.image)
-    protected = graph.subtree(root_function)
-    report.protected_functions = protected
+    protected = build_callgraph(target.image).subtree(root_function)
+    report = VariantReport(choose_shift(process, target), protected)
+    shift = report.shift
+    space = process.space
+    tag = f"variant:{target.tag}"
 
-    shift = choose_shift(process, target)
-    report.shift = shift
-
-    # ---- old ranges: the leader's image region and used heap ----
-    heap = process.heap
-    heap_used_start, heap_brk = heap.used_range()
-    old_ranges = [
-        OldRange(target.base, target.base + target.image.load_size,
-                 "image"),
-        OldRange(heap.base, heap.base + heap.size, "heap"),
-    ]
-
-    # ---- copy protected .text pages ----
-    text_start, text_size = target.section_range(".text")
+    # ---- .text: the region is mapped in full (so intra-image
+    # displacements stay meaningful) but only protected pages get
+    # content; the rest stays zero — executing it faults on the invalid
+    # opcode, same signal as unmapped memory, while keeping the copy
+    # bookkeeping page-exact.
     wanted_pages: Set[int] = set()
     for name in protected:
         sym = target.image.symbol(name)
         if sym.section != ".text":
             continue
         start = target.symbol_address(name)
-        for addr in range(page_align_down(start),
-                          page_align_up(start + sym.size), PAGE_SIZE):
-            wanted_pages.add(addr)
-    # the text region is mapped in full (so intra-image displacements stay
-    # meaningful) but only protected pages get content; the rest stays
-    # zero — executing it faults on the invalid opcode, same signal as
-    # unmapped memory, while keeping the copy bookkeeping page-exact.
-    src_text_page = process.space.page_at(text_start)
-    process.space.mmap(text_start + shift, page_align_up(max(text_size, 1)),
-                       prot=src_text_page.prot, pkey=src_text_page.pkey,
-                       tag=f"variant:{target.tag}:.text")
-    for addr in sorted(wanted_pages):
-        dst_page = process.space.page_at(addr + shift)
-        dst_page.data[:] = process.space.page_at(addr).data
-        dst_page.invalidate_decode()
-        report.text_pages_copied += 1
+        wanted_pages.update(range(page_align_down(start),
+                                  page_align_up(start + sym.size),
+                                  PAGE_SIZE))
+    text_start, text_size = target.section_range(".text")
+    report.text_pages_copied = map_copy(
+        process, space, text_start, text_size, shift, f"{tag}:.text",
+        pages=sorted(wanted_pages))
 
-    # ---- copy support sections ----
-    for section in (".plt", ".rodata", ".got.plt", ".data", ".bss"):
+    # ---- the support sections, in full ----
+    for section in SUPPORT_SECTIONS:
         start, size = target.section_range(section)
-        src_page = process.space.page_at(start)
-        report.support_pages_copied += _copy_pages(
-            process, start, start + shift, size,
-            src_page.prot, src_page.pkey,
-            f"variant:{target.tag}:{section}")
+        report.support_pages_copied += map_copy(
+            process, space, start, size, shift, f"{tag}:{section}")
 
     # ---- the follower heap arena: map in full (the follower may allocate
     # fresh memory after creation, §3.4), copy only the used prefix ----
-    heap_used = heap_brk - heap.base
-    process.space.mmap(heap.base + shift, heap.size, prot=PROT_RW,
-                       tag=f"variant:{target.tag}:heap")
-    heap_pages = 0
-    if heap_used > 0:
-        for offset in range(0, page_align_up(heap_used), PAGE_SIZE):
-            src_page = process.space.page_at(heap.base + offset)
-            dst_page = process.space.page_at(heap.base + shift + offset)
-            dst_page.data[:] = src_page.data
-            dst_page.invalidate_decode()
-            heap_pages += 1
-    report.heap_pages_copied = heap_pages
+    heap = process.heap
+    heap_used = heap.used_range()[1] - heap.base
+    report.heap_pages_copied = map_copy(
+        process, space, heap.base, heap.size, shift, f"{tag}:heap",
+        pages=range(heap.base, heap.base + page_align_up(heap_used),
+                    PAGE_SIZE))
 
-    report.duplication_ns = (
-        (report.text_pages_copied + report.support_pages_copied)
-        * costs.page_copy_ns
-        + heap_pages * costs.heap_remap_page_ns)
-    process.charge(report.duplication_ns, "variant-copy")
-
-    # ---- clone(): the follower thread ----
-    before = process.counter.total_ns
-    process.kernel.syscall(process, "clone", 0)
-    thread = process.create_thread(f"follower:{root_function}",
-                                   stack_pages=stack_pages)
-    thread.variant = "follower"
-    report.clone_ns = process.counter.total_ns - before
-
-    # ---- the follower's address-space view (paper §3.1/Figure 5) ----
-    # Shared pages for everything except the leader's image region and
-    # heap: those are absent from the follower's view, so a pointer or
-    # ROP gadget aimed at leader addresses faults in the follower.  The
-    # copies made above are shared pages visible through both views
-    # (the variants live in one process; the monitor writes emulated
-    # buffers through either).
-    follower_space = AddressSpace(f"{process.name}:follower")
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + page_align_up(target.image.load_size)),
-        (heap.base, heap.base + heap.size),
-    ])
-    thread.space = follower_space
-    # The follower computes on its own core: a private counter, not
-    # attached to the wall clock.  Wall time only advances through the
-    # leader and the lockstep waits the monitor charges.
-    from repro.machine.costs import CycleCounter
-    thread.counter = CycleCounter()
-    thread.cpu = CPU(follower_space, counter=thread.counter,
-                     costs=costs, syscall_handler=process._syscall_from_isa,
-                     hl_dispatch=process._hl_dispatch)
-    thread.cpu.trace_hook = process.cpu.trace_hook
-
-    # ---- follower heap bookkeeping over the copied region ----
-    follower_heap = Heap(process.space, heap.base + shift, heap.size)
-    follower_heap.adopt_bookkeeping(heap.clone_bookkeeping(shift))
-    process.thread_heaps[thread] = follower_heap
+    thread, follower_heap, relocator = spawn_follower(
+        process, target, costs, report, f"follower:{root_function}",
+        AddressSpace(f"{process.name}:follower"))
 
     # ---- pointer relocation ----
-    relocator = PointerRelocator(process.space, old_ranges, shift, costs,
-                                 charge=process.charge)
     relocation = RelocationReport(shift)
     for section in (".data", ".bss"):
         start, size = target.section_range(section)
@@ -272,20 +307,8 @@ def create_follower(process: GuestProcess, target: LoadedImage,
         got_start + shift, got_size, ".got.plt"))
     report.relocation = relocation
 
-    relocated_args = [relocator.relocate_value(int(a)) for a in args]
-
-    copy_view = process.loader.register_shifted_copy(
-        target, shift, tag=f"variant:{target.tag}")
-    entry = copy_view.symbol_address(root_function)
-
-    image_region_size = page_align_up(target.image.load_size)
-    variant = FollowerVariant(
-        loaded=copy_view,
-        thread=thread,
-        heap=follower_heap,
-        entry=entry,
-        report=report,
-        image_region=(target.base + shift, image_region_size),
-        heap_region=(heap.base + shift, heap.size),
-    )
-    return variant, relocated_args
+    copy_view = process.loader.register_shifted_copy(target, shift, tag=tag)
+    variant = FollowerVariant(copy_view, thread, follower_heap,
+                              copy_view.symbol_address(root_function),
+                              report, relocator)
+    return variant, [relocator.relocate_value(int(a)) for a in args]

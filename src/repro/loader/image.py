@@ -23,7 +23,7 @@ position independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ImageError, SymbolNotFound
@@ -40,6 +40,23 @@ WRITABLE_SECTIONS = (".got.plt", ".data", ".bss")
 
 #: bytes per PLT entry: JMP_M <got slot> ; NOP
 PLT_ENTRY_SIZE = 2 * INSTR_SIZE
+
+
+#: ``(section, offset_from_base, size)`` of every section, in load order
+Layout = Tuple[Tuple[str, int, int], ...]
+
+
+def lay_out(sizes: Dict[str, int]) -> Tuple[Layout, int]:
+    """Place each section on pages of its own, in load order; returns the
+    layout and the load size.  A section ``sizes`` does not name is empty
+    and still takes a page."""
+    layout = []
+    offset = 0
+    for section in SECTION_ORDER:
+        size = sizes.get(section, 0)
+        layout.append((section, offset, size))
+        offset += page_align_up(max(size, 1))
+    return tuple(layout), offset
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,10 @@ class ProgramImage:
 
     def __post_init__(self) -> None:
         self._by_name = {sym.name: sym for sym in self.symbols}
+        # a built image never changes, so it is laid out once
+        sizes = {name: len(data) for name, data in self.sections.items()}
+        sizes[".bss"] = self.bss_size
+        self._layout, self.load_size = lay_out(sizes)
 
     def symbol(self, name: str) -> Symbol:
         try:
@@ -111,22 +132,10 @@ class ProgramImage:
     def function_symbols(self) -> List[Symbol]:
         return [s for s in self.symbols if s.kind == "func"]
 
-    def section_layout(self) -> List[Tuple[str, int, int]]:
+    def section_layout(self) -> Layout:
         """Return ``(section, offset_from_base, size)`` with page alignment,
         in load order."""
-        layout = []
-        offset = 0
-        for section in SECTION_ORDER:
-            size = (self.bss_size if section == ".bss"
-                    else len(self.sections.get(section, b"")))
-            layout.append((section, offset, size))
-            offset += page_align_up(max(size, 1))
-        return layout
-
-    @property
-    def load_size(self) -> int:
-        last = self.section_layout()[-1]
-        return last[1] + page_align_up(max(last[2], 1))
+        return self._layout
 
 
 class ImageBuilder:
@@ -231,15 +240,11 @@ class ImageBuilder:
                       ".data": data_offsets,
                       ".bss": bss_offsets}
 
-        # ---- compute section bases for a base-0 load (for assembly) ----
-        section_base: Dict[str, int] = {}
-        offset = 0
-        for section in SECTION_ORDER:
-            size = {".text": text_size, ".plt": plt_size,
-                    ".rodata": rodata_size, ".got.plt": gotplt_size,
-                    ".data": data_size, ".bss": bss_size}[section]
-            section_base[section] = offset
-            offset += page_align_up(max(size, 1))
+        # ---- section bases for a base-0 load (for assembly) ----
+        layout, _load_size = lay_out({
+            ".text": text_size, ".plt": plt_size, ".rodata": rodata_size,
+            ".got.plt": gotplt_size, ".data": data_size, ".bss": bss_size})
+        section_base = {section: offset for section, offset, _ in layout}
 
         def absolute(name: str) -> int:
             for section, table in layout_for.items():

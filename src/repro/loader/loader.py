@@ -53,9 +53,9 @@ class LoadedImage:
         self.end = base + image.load_size
         self.hl_index_base = hl_index_base
         self.tag = tag
-        self.section_bases: Dict[str, int] = {}
-        for section, offset, _size in image.section_layout():
-            self.section_bases[section] = base + offset
+        #: section -> (start, size), from the image's one layout
+        self._sections = {section: (base + offset, size)
+                          for section, offset, size in image.section_layout()}
         # sorted function table for address -> symbol lookup
         self._func_syms = sorted(
             (self.symbol_address(sym.name), sym)
@@ -66,7 +66,7 @@ class LoadedImage:
 
     def symbol_address(self, name: str) -> int:
         sym = self.image.symbol(name)
-        return self.section_bases[sym.section] + sym.offset
+        return self._sections[sym.section][0] + sym.offset
 
     def has_symbol(self, name: str) -> bool:
         return self.image.has_symbol(name)
@@ -85,10 +85,10 @@ class LoadedImage:
         return self.base <= addr < self.end
 
     def section_range(self, section: str) -> Tuple[int, int]:
-        for name, offset, size in self.image.section_layout():
-            if name == section:
-                return self.base + offset, size
-        raise ImageError(f"no section {section!r}")
+        try:
+            return self._sections[section]
+        except KeyError:
+            raise ImageError(f"no section {section!r}") from None
 
     def got_slot_address(self, import_name: str) -> int:
         try:
@@ -96,7 +96,7 @@ class LoadedImage:
         except ValueError:
             raise SymbolNotFound(f"{import_name} (not imported by "
                                  f"{self.image.name})") from None
-        return self.section_bases[".got.plt"] + 8 * index
+        return self._sections[".got.plt"][0] + 8 * index
 
 
 class Loader:
@@ -166,13 +166,13 @@ class Loader:
         return bytes(buf)
 
     def _link_imports(self, loaded: LoadedImage) -> None:
+        got = loaded.section_range(".got.plt")[0]
         for index, name in enumerate(loaded.image.plt_imports):
             target = self._exports.get(name)
             if target is None:
                 raise ImageError(
                     f"{loaded.image.name}: unresolved import {name!r}")
-            self.space.write_word(loaded.section_bases[".got.plt"]
-                                  + 8 * index, target, privileged=True)
+            self.space.write_word(got + 8 * index, target, privileged=True)
 
     def _apply_relocations(self, loaded: LoadedImage) -> None:
         for rel in loaded.image.relocations:
@@ -184,7 +184,7 @@ class Loader:
                     raise ImageError(
                         f"{loaded.image.name}: relocation against unknown "
                         f"symbol {rel.target!r}")
-            address = loaded.section_bases[rel.section] + rel.offset
+            address = loaded.section_range(rel.section)[0] + rel.offset
             self.space.write_word(address, target + rel.addend,
                                   privileged=True)
 

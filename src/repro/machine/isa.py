@@ -102,6 +102,21 @@ CONTROL_FLOW_OPS = frozenset({
     Op.JAE, Op.CALL, Op.CALL_R, Op.RET, Op.HLT, Op.SYSCALL,
 })
 
+#: opcodes that read or write ``reg1``, and those that also name ``reg2``:
+#: an encoding without them is not an instruction.
+_REG1_OPS = frozenset({
+    Op.MOV_RR, Op.MOV_RI, Op.LEA, Op.LOAD, Op.STORE, Op.LOAD8, Op.STORE8,
+    Op.ADD_RR, Op.ADD_RI, Op.SUB_RR, Op.SUB_RI, Op.AND_RR, Op.AND_RI,
+    Op.OR_RR, Op.OR_RI, Op.XOR_RR, Op.XOR_RI, Op.SHL_RI, Op.SHR_RI,
+    Op.MUL_RR, Op.NOT_R, Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.JMP_R,
+    Op.CALL_R, Op.PUSH_R, Op.POP_R,
+})
+_REG2_OPS = frozenset({
+    Op.MOV_RR, Op.LOAD, Op.STORE, Op.LOAD8, Op.STORE8, Op.ADD_RR,
+    Op.SUB_RR, Op.AND_RR, Op.OR_RR, Op.XOR_RR, Op.MUL_RR, Op.CMP_RR,
+    Op.TEST_RR,
+})
+
 #: opcode byte -> Op member; a plain dict lookup is several times faster
 #: than ``Op(opcode)`` (which routes through EnumMeta.__call__) and
 #: decode is on the interpreter's fetch path.
@@ -134,6 +149,10 @@ class Instruction:
         for index in (r1, r2):
             if index != _NO_REG and index >= len(GP_REGISTERS):
                 raise InvalidInstruction(f"bad register index {index}")
+        if (r1 == _NO_REG and op in _REG1_OPS
+                or r2 == _NO_REG and op in _REG2_OPS):
+            raise InvalidInstruction(
+                f"{op.name} is missing a register operand")
         reg1 = GP_REGISTERS[r1] if r1 != _NO_REG else None
         reg2 = GP_REGISTERS[r2] if r2 != _NO_REG else None
         return Instruction(op, reg1, reg2, imm)

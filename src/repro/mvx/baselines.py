@@ -29,6 +29,9 @@ REMON_SENSITIVE_SYSCALLS: Set[str] = {
     "exit",
 }
 
+#: bytes of one syscall frame on the wire (whole-program remote MVX)
+FRAME_BYTES = 160
+
 
 @dataclass
 class BaselineStats:
@@ -162,17 +165,15 @@ class RemoteMvx(MvxBaseline):
     def __init__(self, process: GuestProcess,
                  costs: Optional[CostModel] = None,
                  latency_ns: float = 100_000,
-                 sensitive: Optional[Set[str]] = None,
-                 frame_bytes: int = 160):
+                 sensitive: Optional[Set[str]] = None):
         super().__init__(process, costs)
         self.latency_ns = latency_ns
         self.sensitive = (REMON_SENSITIVE_SYSCALLS if sensitive is None
                           else sensitive)
-        self.frame_bytes = frame_bytes
 
     def _interception_cost(self, name: str) -> float:
         wire = self.costs.wire_frame_ns \
-            + self.frame_bytes * self.costs.wire_byte_ns
+            + FRAME_BYTES * self.costs.wire_byte_ns
         if name in self.sensitive:
             self.stats.slow_path += 1
             return wire + 2 * self.latency_ns

@@ -141,9 +141,8 @@ class GuestProcess:
 
     # -- threads ----------------------------------------------------------------------
 
-    def create_thread(self, name: str,
-                      stack_pages: int = DEFAULT_STACK_PAGES) -> GuestThread:
-        size = stack_pages * PAGE_SIZE
+    def create_thread(self, name: str) -> GuestThread:
+        size = DEFAULT_STACK_PAGES * PAGE_SIZE
         top = self._next_stack_top
         base = top - size
         # one unmapped guard page between stacks catches runaway growth

@@ -42,6 +42,9 @@ from repro.sim.runner import ScenarioOutcome, run_scenario
 from repro.sim.scenario import OK_CLASSES, Scenario
 from repro.trace.capsule import ScenarioCapsule
 
+#: axis-ablation passes before the shrinker settles for what it has
+MAX_ROUNDS = 3
+
 
 def signature_of(outcome: ScenarioOutcome) -> Dict:
     """The identity of a failure: what any reduction must preserve."""
@@ -141,8 +144,7 @@ def _ddmin(items: List, test: Callable[[List], bool]) -> List:
 
 
 def shrink(scenario: Scenario,
-           log: Optional[Callable[[str], None]] = None,
-           max_rounds: int = 3) -> ShrinkResult:
+           log: Optional[Callable[[str], None]] = None) -> ShrinkResult:
     """Minimize ``scenario`` (which must fail) to a reproducing capsule.
 
     Raises ``ValueError`` if the scenario does not fail to begin with.
@@ -174,7 +176,7 @@ def shrink(scenario: Scenario,
             steps.append({"step": "recheck=False", "kept": True})
 
     # pass 1: axis ablation to a fixpoint
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         any_kept = False
         for overrides in _axis_candidates(current):
             label = ",".join(f"{k}={v!r}" for k, v in overrides.items())

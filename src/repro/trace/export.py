@@ -23,8 +23,7 @@ def _as_dict(event: Union[TraceEvent, Dict]) -> Dict:
     return event.to_dict() if isinstance(event, TraceEvent) else event
 
 
-def to_chrome_trace(events: Iterable[Union[TraceEvent, Dict]],
-                    process_name: str = "repro") -> Dict:
+def to_chrome_trace(events: Iterable[Union[TraceEvent, Dict]]) -> Dict:
     """Convert events (TraceEvent objects or their dicts) to the Chrome
     trace-event container format."""
     rows: List[Dict] = []
@@ -46,7 +45,7 @@ def to_chrome_trace(events: Iterable[Union[TraceEvent, Dict]],
             "args": {"seq": event["seq"], **event.get("data", {})},
         })
     meta = [{"ph": "M", "pid": 1, "name": "process_name",
-             "args": {"name": process_name}}]
+             "args": {"name": "repro"}}]
     meta += [{"ph": "M", "pid": 1, "tid": lane, "name": "thread_name",
               "args": {"name": kind}}
              for kind, lane in sorted(lanes_used.items(),
@@ -55,11 +54,10 @@ def to_chrome_trace(events: Iterable[Union[TraceEvent, Dict]],
 
 
 def write_chrome_trace(path: str,
-                       events: Iterable[Union[TraceEvent, Dict]],
-                       process_name: str = "repro") -> int:
+                       events: Iterable[Union[TraceEvent, Dict]]) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count
     (excluding metadata rows)."""
-    doc = to_chrome_trace(events, process_name)
+    doc = to_chrome_trace(events)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return sum(1 for row in doc["traceEvents"] if row["ph"] != "M")

@@ -31,7 +31,7 @@ from repro.trace.events import EventKind, MetricsRegistry, RingRecorder
 TRACE_VERSION = 1
 
 #: how many trailing ring events a divergence capsule snapshots.
-DEFAULT_CAPSULE_WINDOW = 256
+CAPSULE_WINDOW = 256
 
 
 def _stream_digest() -> "hashlib._Hash":
@@ -107,14 +107,12 @@ class Recorder:
     """
 
     def __init__(self, kernel, scenario: Optional[Dict] = None,
-                 capacity: int = 4096, trace_instructions: bool = False,
-                 capsule_window: int = DEFAULT_CAPSULE_WINDOW):
+                 capacity: int = 4096, trace_instructions: bool = False):
         self.kernel = kernel
         self.scenario = dict(scenario or {})
         self.ring = RingRecorder(capacity)
         self.metrics: MetricsRegistry = self.ring.metrics
         self.trace_instructions = trace_instructions
-        self.capsule_window = capsule_window
         self.server = None
         self.process = None
         self.supervisor = None
@@ -373,7 +371,7 @@ class Recorder:
             task=report.task_id, guest_pc=report.guest_pc,
             detail=report.detail)
         self._pending_capsules.append(
-            (report, self.ring.tail(self.capsule_window)))
+            (report, self.ring.tail(CAPSULE_WINDOW)))
 
     def _on_instruction(self, state, addr: int, instr) -> None:
         self.ring.emit(EventKind.INSTRUCTION, self._now, instr.op.name,
@@ -543,7 +541,6 @@ class Recorder:
 
 def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
                 trace_instructions: bool = False,
-                capsule_window: int = DEFAULT_CAPSULE_WINDOW,
                 fault_schedule=None,
                 **minx_kwargs):
     """Build a freshly seeded kernel + MinxServer with a recorder
@@ -559,14 +556,13 @@ def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
     """
     return _record(Deployment(app="minx", seed=seed, kwargs=minx_kwargs,
                               faults=fault_schedule),
-                   capacity, trace_instructions, capsule_window)
+                   capacity, trace_instructions)
 
 
 def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
                    workload: Optional[Dict] = None,
                    control: Optional[Dict] = None,
                    trace_instructions: bool = False,
-                   capsule_window: int = DEFAULT_CAPSULE_WINDOW,
                    fault_schedule=None,
                    **littled_kwargs):
     """Like :func:`record_minx` but for littled, including the scheduled
@@ -585,13 +581,11 @@ def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
     return _record(Deployment(app="littled", seed=seed,
                               kwargs=littled_kwargs, faults=fault_schedule,
                               control=control, workload=workload),
-                   capacity, trace_instructions, capsule_window)
+                   capacity, trace_instructions)
 
 
-def _record(spec, capacity: int, trace_instructions: bool,
-            capsule_window: int):
+def _record(spec, capacity: int, trace_instructions: bool):
     run = build(spec, record={"capacity": capacity,
-                              "trace_instructions": trace_instructions,
-                              "capsule_window": capsule_window})
+                              "trace_instructions": trace_instructions})
     run.start().drive()
     return run.kernel, run.leader, run.recorders[0]

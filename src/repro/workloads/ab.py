@@ -45,6 +45,12 @@ from repro.kernel.kernel import Kernel
 #: client-behaviour modes understood by :class:`ApacheBench`.
 CLIENT_MODES = ("normal", "slowloris", "chunked")
 
+#: the ``Host`` header of every request
+HOST = "localhost"
+#: slowloris shape: piece size and per-piece pacing delay
+DRIP_BYTES = 16
+DRIP_DELAY_NS = 200_000
+
 
 @dataclass
 class AbResult:
@@ -93,10 +99,9 @@ class ApacheBench:
     """``ab -n <requests> -k`` against a simulated server."""
 
     def __init__(self, kernel: Kernel, server, path: str = "/index.html",
-                 keepalive: bool = True, host: str = "localhost",
+                 keepalive: bool = True,
                  max_stalls: int = 2, timeout_ns: float = 50_000_000,
-                 client_mode: str = "normal", drip_bytes: int = 16,
-                 drip_delay_ns: int = 200_000, chunk_bytes: int = 256,
+                 client_mode: str = "normal", chunk_bytes: int = 256,
                  partial_preludes: int = 0, pipeline: int = 1,
                  connect_retries: int = 20, think_ns: float = 0):
         if client_mode not in CLIENT_MODES:
@@ -106,11 +111,7 @@ class ApacheBench:
         self.server = server            # MinxServer / LittledServer-like
         self.path = path
         self.keepalive = keepalive
-        self.host = host
         self.client_mode = client_mode
-        #: slowloris shape: piece size and per-piece pacing delay.
-        self.drip_bytes = max(1, drip_bytes)
-        self.drip_delay_ns = drip_delay_ns
         #: chunked-upload shape: honest chunk size, capped so head+body
         #: always fit the server's one-recv request buffer (the benign
         #: upload must not depend on multi-read body delivery).
@@ -148,7 +149,7 @@ class ApacheBench:
                        method: str = "GET") -> bytes:
         connection = "keep-alive" if self.keepalive else "close"
         return (f"{method} {path or self.path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
+                f"Host: {HOST}\r\n"
                 f"User-Agent: ab/2.3-repro\r\n"
                 f"Accept: */*\r\n"
                 f"Connection: {connection}\r\n"
@@ -162,7 +163,7 @@ class ApacheBench:
         connection = "keep-alive" if self.keepalive else "close"
         size = self.chunk_bytes
         head = (f"POST {path or self.path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
+                f"Host: {HOST}\r\n"
                 f"User-Agent: ab/2.3-repro\r\n"
                 f"Transfer-Encoding: chunked\r\n"
                 f"Connection: {connection}\r\n"
@@ -179,10 +180,10 @@ class ApacheBench:
         """Put one request on the wire in the configured client shape."""
         data = self._request_payload(path)
         if self.client_mode == "slowloris":
-            step = self.drip_bytes
-            for piece_index, offset in enumerate(range(0, len(data), step)):
-                sock.send(data[offset:offset + step],
-                          piece_index * self.drip_delay_ns)
+            for piece_index, offset in enumerate(
+                    range(0, len(data), DRIP_BYTES)):
+                sock.send(data[offset:offset + DRIP_BYTES],
+                          piece_index * DRIP_DELAY_NS)
         else:
             sock.send(data)
 

@@ -73,10 +73,9 @@ class UrlFuzzer:
     def batch(self, count: int) -> List[Tuple[str, str, bytes]]:
         return [self.next_request() for _ in range(count)]
 
-    def request_bytes(self, method: str, path: str, body: bytes,
-                      host: str = "localhost") -> bytes:
+    def request_bytes(self, method: str, path: str, body: bytes) -> bytes:
         head = (f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {host}\r\n"
+                "Host: localhost\r\n"
                 f"User-Agent: scout-repro\r\n"
                 f"Connection: keep-alive\r\n")
         if body:

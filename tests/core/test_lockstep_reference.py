@@ -188,7 +188,7 @@ def reference_emulate_for_follower(self, spec, retval, leader, follower):
                 follower_ret = follower.args[index]
                 break
         if follower_ret is None:
-            follower_ret = region.relocator.relocate_value(retval)
+            follower_ret = region.variant.relocator.relocate_value(retval)
     return follower_ret & _MASK64, copied
 
 
@@ -396,7 +396,8 @@ def reference_emulate(self, spec, event, follower):
                 follower_ret = follower.args[index]
                 break
         if follower_ret is None:
-            follower_ret = region.relocator.relocate_value(event.retval)
+            follower_ret = region.variant.relocator.relocate_value(
+                event.retval)
     return follower_ret & ((1 << 64) - 1), copied
 
 
@@ -664,7 +665,7 @@ def open_world(case):
     region.channel.leader_abort(DivergenceReport(DivergenceKind.MONITOR))
     region.py_thread.join()
     leader, follower, retval = _materialise(
-        case, process, target, region.relocator.relocate_value)
+        case, process, target, region.variant.relocator.relocate_value)
     region.channel = ScriptedChannel(
         follower, _flagged(case) if case.channel == "flagged" else None)
     _stub_libc(monitor, retval, case.errno)

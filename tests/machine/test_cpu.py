@@ -247,6 +247,26 @@ def test_invalid_opcode_faults():
         cpu.step(state)
 
 
+@pytest.mark.parametrize("precise", [False, True])
+def test_missing_register_operand_faults_on_both_tiers(precise):
+    """``mov $5`` without its destination register is no instruction:
+    each tier faults at it rather than store 5 under no register."""
+    space = AddressSpace()
+    space.mmap(CODE_BASE, PAGE_SIZE, prot=PROT_RX)
+    space.write(CODE_BASE, Instruction(Op.NOP).encode()
+                + Instruction(Op.MOV_RI, None, imm=5).encode(),
+                privileged=True)
+    cpu = CPU(space)
+    cpu.force_slow_path = precise
+    state = ExecState(RegisterFile())
+    state.regs.rip = CODE_BASE
+    registers = set(state.regs.snapshot())
+    with pytest.raises(InvalidInstruction) as fault:
+        cpu.run(state, max_steps=10)
+    assert fault.value.address == CODE_BASE + INSTR_SIZE
+    assert set(state.regs.snapshot()) == registers
+
+
 def test_stack_overflow_into_unmapped_guard_faults():
     a = Assembler()
     a.label("spin")
